@@ -1,5 +1,5 @@
 // Payload-carrying packets: ItemSystem<T> keeps real task objects in
-// lockstep with the balancer's packet counts.
+// step with the balancer's packet counts.
 //
 // The paper's packets "represent data or processes" with identical
 // characteristics; the System tracks only counts.  Applications, though,

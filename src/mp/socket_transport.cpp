@@ -220,7 +220,7 @@ void SocketTransport::connect_out(Clock::time_point deadline) {
       DLB_ENSURE(Clock::now() + delay < deadline,
                  "rendezvous timed out connecting to a lower rank");
       // Bounded exponential backoff with multiplicative jitter so a
-      // gang of late starters does not hammer one listener in lockstep.
+      // gang of late starters does not hammer one listener in unison.
       const double factor =
           0.5 + static_cast<double>(jitter.next() % 1024) / 1024.0;
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(

@@ -10,9 +10,9 @@
 // that multiply a small processor subset's arrival rate for a bounded
 // window.  The output is an ordinary Workload (per-processor phases
 // with generate/consume probabilities per segment), so every engine —
-// serial batched, lockstep-sharded, async, threaded — can drive it
-// unchanged, and Trace::record can pin one demand realization for the
-// baseline comparisons.
+// serial batched, async sharded, threaded — can drive it unchanged, and
+// Trace::record can pin one demand realization for the baseline
+// comparisons.
 //
 // Zipf sampling uses rejection inversion (Hormann & Derflinger 1996,
 // the sampler behind Apache Commons' RejectionInversionZipfSampler):

@@ -1,7 +1,7 @@
 // Unit tests for the observability layer (src/obs) plus its wiring into
 // the step engines: metrics instruments against brute-force oracles,
 // trace buffer semantics, scoped timers, and the per-subsystem
-// instrumentation (System, run_parallel, ThreadedSystem, mp::World,
+// instrumentation (System, run_async, ThreadedSystem, mp::World,
 // the MetricsRecorder bridge).
 #include <gtest/gtest.h>
 
@@ -444,9 +444,9 @@ TEST(SystemObs, TraceCarriesStepAndBalanceSpans) {
   EXPECT_TRUE(names.count("balance_op"));
 }
 
-// ---- run_parallel phase profiling -------------------------------------
+// ---- run_async phase profiling ----------------------------------------
 
-TEST(RunParallelObs, PerShardPhaseHistogramsAndPercentiles) {
+TEST(RunAsyncObs, DrainAndQuiescenceHistogramsCountEveryEpoch) {
   BalancerConfig cfg;
   cfg.f = 1.5;
   cfg.delta = 2;
@@ -454,63 +454,61 @@ TEST(RunParallelObs, PerShardPhaseHistogramsAndPercentiles) {
   obs::MetricsRegistry reg;
   sys.attach_metrics(&reg);
   const std::uint32_t horizon = 80;
-  sys.run_parallel(Workload::uniform(64, horizon, 0.7, 0.5), 2);
+  const std::uint32_t shards = 2;
+  AsyncOptions opts;
+  opts.epoch_steps = 16;
+  sys.run_async(Workload::uniform(64, horizon, 0.7, 0.5), shards, opts);
+  const std::uint64_t epochs = horizon / opts.epoch_steps;
   const obs::MetricsSnapshot snap = reg.snapshot();
-  for (const std::string shard : {"shard0", "shard1"}) {
-    const obs::MetricValue* work =
-        snap.find("run_parallel." + shard + ".work_ns");
-    const obs::MetricValue* barrier =
-        snap.find("run_parallel." + shard + ".barrier_wait_ns");
-    ASSERT_NE(work, nullptr) << shard;
-    ASSERT_NE(barrier, nullptr) << shard;
-    EXPECT_EQ(work->count, horizon) << shard;
-    EXPECT_EQ(barrier->count, horizon) << shard;
-    // The acceptance surface: barrier-wait p50/p99 per shard.
-    EXPECT_GT(barrier->p99, 0.0) << shard;
-    EXPECT_GE(barrier->p99, barrier->p50) << shard;
-  }
-  const obs::MetricValue* drain = snap.find("run_parallel.serial_drain_ns");
+  const obs::MetricValue* epoch_count = snap.find("async.epochs");
+  ASSERT_NE(epoch_count, nullptr);
+  EXPECT_EQ(static_cast<std::uint64_t>(epoch_count->value), epochs);
+  // Shard 0 times each epoch's quiescence; every shard times at least
+  // its first token slot per epoch.
+  const obs::MetricValue* quiesce = snap.find("async.quiesce_ns");
+  ASSERT_NE(quiesce, nullptr);
+  EXPECT_EQ(quiesce->count, epochs);
+  const obs::MetricValue* drain = snap.find("async.drain_ns");
   ASSERT_NE(drain, nullptr);
-  EXPECT_EQ(drain->count, horizon);
+  EXPECT_GE(drain->count, shards * epochs);
+  EXPECT_GE(drain->p99, drain->p50);
 }
 
-TEST(RunParallelObs, TraceShowsDistinctShardAndSerialSpans) {
+TEST(RunAsyncObs, TraceShowsOneTrackPerShard) {
   BalancerConfig cfg;
   cfg.f = 1.5;
   cfg.delta = 2;
   System sys(64, cfg, 23);
   obs::TraceBuffer trace(1 << 14);
   sys.attach_trace(&trace);
-  sys.run_parallel(Workload::uniform(64, 60, 0.7, 0.5), 2);
+  sys.run_async(Workload::uniform(64, 60, 0.7, 0.5), 2);
   std::set<std::uint32_t> local_tids;
-  std::set<std::uint32_t> barrier_tids;
   std::set<std::uint32_t> drain_tids;
   for (const obs::TraceEvent& e : trace.events()) {
     const std::string name = e.name;
-    if (name == "local_phase") local_tids.insert(e.tid);
-    if (name == "barrier_wait") barrier_tids.insert(e.tid);
-    if (name == "serial_drain") drain_tids.insert(e.tid);
+    if (name == "async_local") local_tids.insert(e.tid);
+    if (name == "async_drain") drain_tids.insert(e.tid);
   }
-  // Shard s records on track s + 1; the serial coordinator on track 0.
+  // Shard s records on track s + 1 (track 0 is the serial drivers').
   EXPECT_EQ(local_tids, (std::set<std::uint32_t>{1, 2}));
-  EXPECT_EQ(barrier_tids, (std::set<std::uint32_t>{1, 2}));
-  EXPECT_EQ(drain_tids, (std::set<std::uint32_t>{0}));
+  EXPECT_EQ(drain_tids, (std::set<std::uint32_t>{1, 2}));
 }
 
-TEST(RunParallelObs, ParallelRunStaysDeterministicUnderInstrumentation) {
+TEST(RunAsyncObs, DeterministicRunStaysIdenticalUnderInstrumentation) {
   BalancerConfig cfg;
   cfg.f = 1.4;
   cfg.delta = 1;
   const Workload wl = Workload::uniform(32, 100, 0.6, 0.4);
   System plain(32, cfg, 29);
-  plain.run_parallel(wl, 2);
+  plain.run_async(wl, 2);
   System instrumented(32, cfg, 29);
   obs::MetricsRegistry reg;
   obs::TraceBuffer trace(1 << 14);
   instrumented.attach_metrics(&reg);
   instrumented.attach_trace(&trace);
-  instrumented.run_parallel(wl, 2);
+  instrumented.run_async(wl, 2);
   EXPECT_EQ(plain.loads(), instrumented.loads());
+  EXPECT_EQ(plain.balance_operations(), instrumented.balance_operations());
 }
 
 // ---- ThreadedSystem wiring --------------------------------------------

@@ -10,9 +10,10 @@
 # run_async engine the same way, so regressions in the epoch-fenced
 # drain path fail here too), and compares every metric against the
 # committed baseline BENCH_core.json at the repository root.  The sweep
-# also re-runs each engine with the counting allocation hook attached
-# and gates allocs_per_step == 0: the zero-allocation steady state
-# (DESIGN.md §11) is a hard invariant, not a tolerance-checked timing.
+# also re-runs the serial engine and both run_async modes (deterministic
+# and relaxed) with the counting allocation hook attached and gates every
+# allocs_per_step == 0: the zero-allocation steady state (DESIGN.md §11)
+# is a hard invariant, not a tolerance-checked timing.
 #
 # The comparison is common-mode normalized: on a shared/virtualized box
 # the whole benchmark drifts ±20-30% run to run, and all metrics drift
