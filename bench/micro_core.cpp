@@ -15,6 +15,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/snake.hpp"
@@ -130,10 +132,10 @@ BENCHMARK(BM_OneProducerRun)->Arg(16)->Arg(64);
 struct CoreTimings {
   double generate_ns = 0;
   double consume_ns = 0;
-  double balance_ns = 0;
-  // Sparse-ledger heap bytes per processor, averaged over the system the
-  // balance batches finished on (steady-state capacities, not the empty
-  // construction state).
+  double balance_ns = 0;  // < 0: the row does not time balancing
+  // Whole ledger footprint per processor (object + spilled heap block),
+  // averaged over the system the last timed batch finished on
+  // (steady-state capacities, not the empty construction state).
   double ledger_bytes_per_proc = 0;
 };
 
@@ -232,19 +234,101 @@ System make_dense_system(std::uint32_t n, std::uint64_t seed) {
   return load_checkpoint(is, nullptr);
 }
 
+// The borrow-path regime serving traffic lives in (~97% of its consumes
+// borrow): every processor holds 8..15 packets of each of the four
+// classes after its own (p+1 .. p+4 mod n) and none of its own, with
+// borrow cap 4.  Each of a processor's first four consumes therefore
+// takes the borrow path (own class empty, a marker-free class left,
+// capacity left) without ever settling, and each generate after them
+// repays one of the markers (the appendix's generate path).
+System make_borrow_system(std::uint32_t n, std::uint64_t seed) {
+  Rng stock_rng(seed + 1);
+  std::ostringstream body;
+  std::int64_t total = 0;
+  std::vector<std::pair<std::uint32_t, std::int64_t>> entries;
+  for (std::uint32_t p = 0; p < n; ++p) {
+    entries.clear();
+    for (std::uint32_t k = 1; k <= 4; ++k) {
+      const auto count = 8 + static_cast<std::int64_t>(stock_rng.below(8));
+      entries.emplace_back((p + k) % n, count);
+      total += count;
+    }
+    std::sort(entries.begin(), entries.end());
+    body << "0 0 " << entries.size() << '\n';  // l_old, local_time
+    for (const auto& [cls, count] : entries)
+      body << cls << ' ' << count << " 0 ";
+    body << '\n';
+  }
+  std::ostringstream os;
+  os << "dlb-checkpoint 2\n";
+  os << n << ' ' << 4 << ' ' << 4 << ' ' << 0 << '\n';  // delta, cap
+  os.precision(17);
+  os << std::hexfloat << 1e9 << std::defaultfloat << '\n';  // f
+  const auto rng_state = Rng(seed).state();
+  os << rng_state[0] << ' ' << rng_state[1] << ' ' << rng_state[2] << ' '
+     << rng_state[3] << '\n';
+  os << total << " 0 0\n";     // generated consumed ops
+  os << "0 0 0 0 0 0\n";       // cost totals
+  os << -1 << '\n';            // no partner radius
+  os << body.str();
+  std::istringstream is(os.str());
+  return load_checkpoint(is, nullptr);
+}
+
+// Processor visiting order for the event loops: ascending (the stream the
+// hardware prefetcher follows) or a seeded permutation, so each event
+// lands on a ledger no recent event warmed — the cache-cold case.
+std::vector<std::uint32_t> visit_order(std::uint32_t n, bool shuffled) {
+  std::vector<std::uint32_t> order(n);
+  for (std::uint32_t p = 0; p < n; ++p) order[p] = p;
+  if (shuffled) {
+    Rng rng(0xc01d);
+    rng.shuffle(order);
+  }
+  return order;
+}
+
+// Borrow path: four consume rounds over every processor in random order
+// (each one a borrow), then four generate rounds (each one a marker
+// repayment).  No balancing, no settlement.
+CoreTimings measure_borrow(std::uint32_t n) {
+  const std::vector<std::uint32_t> order = visit_order(n, true);
+  const std::uint64_t ops = 4 * static_cast<std::uint64_t>(n);
+  CoreTimings out;
+  out.balance_ns = -1;
+  System sys = make_borrow_system(n, 4);
+  out.consume_ns = time_ns_per_op(ops, [&](std::uint64_t i) {
+    benchmark::DoNotOptimize(sys.consume(order[i % n]));
+  });
+  out.generate_ns = time_ns_per_op(
+      ops, [&](std::uint64_t i) { sys.generate(order[i % n]); });
+  out.ledger_bytes_per_proc = mean_ledger_bytes(sys);
+  return out;
+}
+
+// Own-class generate/consume only (no balancing), in visiting order.
+CoreTimings measure_events(std::uint32_t n,
+                           System (*make_system)(std::uint32_t,
+                                                 std::uint64_t),
+                           bool shuffled) {
+  const std::vector<std::uint32_t> order = visit_order(n, shuffled);
+  CoreTimings out;
+  out.balance_ns = -1;
+  System sys = make_system(n, 4);
+  const std::uint64_t event_iters = 200000;
+  out.generate_ns = time_ns_per_op(
+      event_iters, [&](std::uint64_t i) { sys.generate(order[i % n]); });
+  out.consume_ns = time_ns_per_op(event_iters, [&](std::uint64_t i) {
+    benchmark::DoNotOptimize(sys.consume(order[i % n]));
+  });
+  out.ledger_bytes_per_proc = mean_ledger_bytes(sys);
+  return out;
+}
+
 CoreTimings measure_core(std::uint32_t n,
                          System (*make_system)(std::uint32_t,
                                                std::uint64_t)) {
-  CoreTimings out;
-  {
-    System sys = make_system(n, 4);
-    const std::uint64_t event_iters = 200000;
-    out.generate_ns = time_ns_per_op(
-        event_iters, [&](std::uint64_t i) { sys.generate(i % n); });
-    out.consume_ns = time_ns_per_op(event_iters, [&](std::uint64_t i) {
-      benchmark::DoNotOptimize(sys.consume(i % n));
-    });
-  }
+  CoreTimings out = measure_events(n, make_system, false);
   // Balancing is timed in short batches over fresh systems: a long
   // force_balance loop would smear packets across ever more classes and
   // measure a self-inflicted dense regime instead of the workload the
@@ -271,7 +355,7 @@ CoreTimings measure_core(std::uint32_t n,
 struct BenchRow {
   const char* workload;
   std::uint32_t n;
-  System (*make_system)(std::uint32_t, std::uint64_t);
+  CoreTimings (*measure)(std::uint32_t n);
 };
 
 void write_bench_json(const char* path) {
@@ -283,12 +367,24 @@ void write_bench_json(const char* path) {
   out << "{\n  \"benchmark\": \"core_hot_paths\",\n  \"unit\": \"ns/op\","
       << "\n  \"workloads\": {\"sparse\": \"own-class packets only, "
       << "delta=4\", \"dense\": \"one packet of every class (k = n), "
-      << "delta=4\"},\n  \"results\": [";
+      << "delta=4\", \"sparse_cold\": \"sparse, own-class generate/"
+      << "consume visiting processors in a seeded random order (no "
+      << "prefetchable stream)\", \"borrow\": \"four foreign classes per "
+      << "processor, none of its own, cap 4: consume_ns is the borrow "
+      << "path, generate_ns the marker repayment, random order\"},"
+      << "\n  \"results\": [";
   const BenchRow rows[] = {
-      {"sparse", 64, make_sparse_system},
-      {"sparse", 1024, make_sparse_system},
-      {"sparse", 16384, make_sparse_system},
-      {"dense", 64, make_dense_system},
+      {"sparse", 64, [](std::uint32_t n) {
+         return measure_core(n, make_sparse_system); }},
+      {"sparse", 1024, [](std::uint32_t n) {
+         return measure_core(n, make_sparse_system); }},
+      {"sparse", 16384, [](std::uint32_t n) {
+         return measure_core(n, make_sparse_system); }},
+      {"dense", 64, [](std::uint32_t n) {
+         return measure_core(n, make_dense_system); }},
+      {"sparse_cold", 16384, [](std::uint32_t n) {
+         return measure_events(n, make_sparse_system, true); }},
+      {"borrow", 16384, measure_borrow},
   };
   bool first = true;
   for (const BenchRow& row : rows) {
@@ -296,9 +392,9 @@ void write_bench_json(const char* path) {
     // scheduler noise and closest to the true cost of the code.  Five
     // repetitions — this records numbers on shared/virtualized boxes
     // whose run-to-run variance exceeds the ±30% perf gate.
-    CoreTimings t = measure_core(row.n, row.make_system);
+    CoreTimings t = row.measure(row.n);
     for (int rep = 1; rep < 5; ++rep) {
-      const CoreTimings r = measure_core(row.n, row.make_system);
+      const CoreTimings r = row.measure(row.n);
       t.generate_ns = std::min(t.generate_ns, r.generate_ns);
       t.consume_ns = std::min(t.consume_ns, r.consume_ns);
       t.balance_ns = std::min(t.balance_ns, r.balance_ns);
@@ -307,14 +403,17 @@ void write_bench_json(const char* path) {
     }
     if (!first) out << ',';
     first = false;
-    char buf[320];
+    char balance[48] = "";
+    if (t.balance_ns >= 0)
+      std::snprintf(balance, sizeof(balance), "\"balance_ns\": %.1f, ",
+                    t.balance_ns);
+    char buf[360];
     std::snprintf(buf, sizeof(buf),
                   "\n    {\"workload\": \"%s\", \"n\": %u, "
                   "\"generate_ns\": %.1f, \"consume_ns\": %.1f, "
-                  "\"balance_ns\": %.1f, \"ledger_bytes_per_proc\": %.0f, "
-                  "\"rss_kb\": %ld}",
-                  row.workload, row.n, t.generate_ns, t.consume_ns,
-                  t.balance_ns, t.ledger_bytes_per_proc, read_rss_kb());
+                  "%s\"ledger_bytes_per_proc\": %.0f, \"rss_kb\": %ld}",
+                  row.workload, row.n, t.generate_ns, t.consume_ns, balance,
+                  t.ledger_bytes_per_proc, read_rss_kb());
     out << buf;
   }
   out << "\n  ]\n}\n";

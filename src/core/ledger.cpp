@@ -1,98 +1,180 @@
 #include "core/ledger.hpp"
 
 #include <algorithm>
+#include <new>
 
 #include "support/check.hpp"
 
 namespace dlb {
 
-namespace {
-
-void insert_sorted(std::vector<std::uint32_t>& v, std::uint32_t j) {
-  v.insert(std::lower_bound(v.begin(), v.end(), j), j);
-}
-
-void erase_sorted(std::vector<std::uint32_t>& v, std::uint32_t j) {
-  const auto it = std::lower_bound(v.begin(), v.end(), j);
-  DLB_ENSURE(it != v.end() && *it == j, "sparse index out of sync");
-  v.erase(it);
-}
-
-// The per-thread apply_dealt merge buffers, hoisted to an accessor so
-// warm_thread_scratch can pre-size them before a thread's first deal.
-struct MergeScratch {
-  std::vector<std::uint32_t> active;
-  std::vector<std::int64_t> d;
-  std::vector<std::int64_t> b;
-  std::vector<std::uint32_t> marked;
-};
-
-MergeScratch& merge_scratch() {
-  thread_local MergeScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
-Ledger::Ledger(std::uint32_t classes) : classes_(classes) {
+Ledger::Ledger(std::uint32_t classes) : data_(inline_), classes_(classes) {
   DLB_REQUIRE(classes >= 1, "ledger needs at least one load class");
 }
 
-std::size_t Ledger::lower_slot(std::uint32_t j) const {
-  return static_cast<std::size_t>(
-      std::lower_bound(active_.begin(), active_.end(), j) - active_.begin());
+Ledger::~Ledger() {
+  if (spilled()) ::operator delete(data_);
 }
 
-std::size_t Ledger::slot(std::uint32_t j) const {
-  if (hint_ < active_.size() && active_[hint_] == j) return hint_;
-  const std::size_t pos = lower_slot(j);
-  if (pos < active_.size() && active_[pos] == j) return pos;
-  return active_.size();
+Ledger::Ledger(const Ledger& other)
+    : data_(inline_), classes_(other.classes_) {
+  reserve_slots(other.size_);
+  copy_entries(other);
 }
 
-std::size_t Ledger::slot(std::uint32_t j) {
-  const std::size_t pos = static_cast<const Ledger&>(*this).slot(j);
-  if (pos < active_.size()) hint_ = pos;
-  return pos;
+Ledger::Ledger(Ledger&& other) noexcept
+    : data_(inline_), classes_(other.classes_) {
+  if (other.spilled()) {
+    // Take over the heap block; the source falls back to empty inline.
+    data_ = other.data_;
+    capacity_ = other.capacity_;
+    size_ = other.size_;
+    marked_size_ = other.marked_size_;
+    real_ = other.real_;
+    borrowed_ = other.borrowed_;
+    other.data_ = other.inline_;
+    other.reset_inline();
+  } else {
+    copy_entries(other);
+    other.reset_inline();
+  }
 }
 
-std::int64_t Ledger::d(std::uint32_t j) const {
-  const std::size_t pos = slot(j);
-  return pos < active_.size() ? d_counts_[pos] : 0;
+Ledger& Ledger::operator=(const Ledger& other) {
+  if (this == &other) return *this;
+  classes_ = other.classes_;
+  size_ = 0;
+  marked_size_ = 0;
+  reserve_slots(other.size_);
+  copy_entries(other);
+  return *this;
 }
 
-std::int64_t Ledger::b(std::uint32_t j) const {
-  const std::size_t pos = slot(j);
-  return pos < active_.size() ? b_counts_[pos] : 0;
+Ledger& Ledger::operator=(Ledger&& other) noexcept {
+  if (this == &other) return *this;
+  if (other.spilled()) {
+    if (spilled()) ::operator delete(data_);
+    data_ = other.data_;
+    capacity_ = other.capacity_;
+    classes_ = other.classes_;
+    size_ = other.size_;
+    marked_size_ = other.marked_size_;
+    real_ = other.real_;
+    borrowed_ = other.borrowed_;
+    other.data_ = other.inline_;
+  } else {
+    // other.size_ <= kInlineClasses <= capacity_: fits our block as is.
+    classes_ = other.classes_;
+    copy_entries(other);
+  }
+  other.reset_inline();
+  return *this;
 }
 
-void Ledger::insert_entry(std::size_t pos, std::uint32_t j,
+void Ledger::reset_inline() {
+  if (spilled()) ::operator delete(data_);
+  data_ = inline_;
+  capacity_ = kInlineClasses;
+  size_ = 0;
+  marked_size_ = 0;
+  real_ = 0;
+  borrowed_ = 0;
+}
+
+void Ledger::copy_entries(const Ledger& other) {
+  std::copy_n(other.cls_data(), other.size_, cls_data());
+  std::copy_n(other.marked_data(), other.marked_size_, marked_data());
+  std::copy_n(other.d_data(), other.size_, d_data());
+  std::copy_n(other.b_data(), other.size_, b_data());
+  size_ = other.size_;
+  marked_size_ = other.marked_size_;
+  real_ = other.real_;
+  borrowed_ = other.borrowed_;
+}
+
+void Ledger::reserve_slots(std::uint32_t slots) {
+  if (slots <= capacity_) return;
+  // Doubling, but never past the class count (no ledger holds more).
+  const std::uint32_t cap = std::max(slots, std::min(2 * capacity_, classes_));
+  auto* block = static_cast<std::byte*>(::operator new(cap * kSlotBytes));
+  auto* cls = reinterpret_cast<std::uint32_t*>(block);
+  auto* marked = cls + cap;
+  auto* d = reinterpret_cast<std::int64_t*>(block +
+                                            2 * sizeof(std::uint32_t) * cap);
+  auto* b = d + cap;
+  std::copy_n(cls_data(), size_, cls);
+  std::copy_n(marked_data(), marked_size_, marked);
+  std::copy_n(d_data(), size_, d);
+  std::copy_n(b_data(), size_, b);
+  if (spilled()) ::operator delete(data_);
+  data_ = block;
+  capacity_ = cap;
+}
+
+void Ledger::insert_entry(std::uint32_t pos, std::uint32_t j,
                           std::int64_t d_val, std::int64_t b_val) {
-  active_.insert(active_.begin() + static_cast<std::ptrdiff_t>(pos), j);
-  d_counts_.insert(d_counts_.begin() + static_cast<std::ptrdiff_t>(pos),
-                   d_val);
-  b_counts_.insert(b_counts_.begin() + static_cast<std::ptrdiff_t>(pos),
-                   b_val);
+  reserve_slots(size_ + 1);
+  std::uint32_t* cls = cls_data();
+  std::int64_t* d = d_data();
+  std::int64_t* b = b_data();
+  std::copy_backward(cls + pos, cls + size_, cls + size_ + 1);
+  std::copy_backward(d + pos, d + size_, d + size_ + 1);
+  std::copy_backward(b + pos, b + size_, b + size_ + 1);
+  cls[pos] = j;
+  d[pos] = d_val;
+  b[pos] = b_val;
+  ++size_;
 }
 
-void Ledger::erase_entry(std::size_t pos) {
-  active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(pos));
-  d_counts_.erase(d_counts_.begin() + static_cast<std::ptrdiff_t>(pos));
-  b_counts_.erase(b_counts_.begin() + static_cast<std::ptrdiff_t>(pos));
+void Ledger::erase_entry(std::uint32_t pos) {
+  std::uint32_t* cls = cls_data();
+  std::int64_t* d = d_data();
+  std::int64_t* b = b_data();
+  std::copy(cls + pos + 1, cls + size_, cls + pos);
+  std::copy(d + pos + 1, d + size_, d + pos);
+  std::copy(b + pos + 1, b + size_, b + pos);
+  --size_;
 }
 
-void Ledger::drop_if_zero(std::size_t pos) {
-  if (d_counts_[pos] == 0 && b_counts_[pos] == 0) erase_entry(pos);
+void Ledger::drop_if_zero(std::uint32_t pos) {
+  if (d_data()[pos] == 0 && b_data()[pos] == 0) erase_entry(pos);
+}
+
+void Ledger::insert_marked(std::uint32_t j) {
+  // A marked class is active, so marked_size_ < size_ <= capacity_ here.
+  std::uint32_t* marked = marked_data();
+  std::uint32_t* end = marked + marked_size_;
+  std::uint32_t* at = std::lower_bound(marked, end, j);
+  std::copy_backward(at, end, end + 1);
+  *at = j;
+  ++marked_size_;
+}
+
+void Ledger::erase_marked(std::uint32_t j) {
+  std::uint32_t* marked = marked_data();
+  std::uint32_t* end = marked + marked_size_;
+  std::uint32_t* at = std::lower_bound(marked, end, j);
+  DLB_ENSURE(at != end && *at == j, "sparse index out of sync");
+  std::copy(at + 1, end, at);
+  --marked_size_;
+}
+
+void Ledger::rebuild_marked() {
+  const std::uint32_t* cls = cls_data();
+  const std::int64_t* b = b_data();
+  std::uint32_t* marked = marked_data();
+  marked_size_ = 0;
+  for (std::uint32_t i = 0; i < size_; ++i)
+    if (b[i] > 0) marked[marked_size_++] = cls[i];
 }
 
 void Ledger::add_real(std::uint32_t j, std::int64_t count) {
   DLB_REQUIRE(j < classes_, "load class out of range");
   DLB_REQUIRE(count >= 0, "cannot add a negative packet count");
-  const std::size_t pos = lower_slot(j);
-  if (pos < active_.size() && active_[pos] == j) {
-    d_counts_[pos] += count;
+  const std::uint32_t pos = slot(j);
+  if (pos < size_) {
+    d_data()[pos] += count;
   } else if (count > 0) {
-    insert_entry(pos, j, count, 0);
+    insert_entry(lower_slot(j), j, count, 0);
   }
   real_ += count;
 }
@@ -100,11 +182,11 @@ void Ledger::add_real(std::uint32_t j, std::int64_t count) {
 void Ledger::remove_real(std::uint32_t j, std::int64_t count) {
   DLB_REQUIRE(j < classes_, "load class out of range");
   DLB_REQUIRE(count >= 0, "cannot remove a negative packet count");
-  const std::size_t pos = slot(j);
-  const std::int64_t held = pos < active_.size() ? d_counts_[pos] : 0;
+  const std::uint32_t pos = slot(j);
+  const std::int64_t held = pos < size_ ? d_data()[pos] : 0;
   DLB_REQUIRE(held >= count, "not enough real packets of this class");
-  if (pos < active_.size()) {
-    d_counts_[pos] -= count;
+  if (pos < size_) {
+    d_data()[pos] -= count;
     drop_if_zero(pos);
   }
   real_ -= count;
@@ -112,49 +194,49 @@ void Ledger::remove_real(std::uint32_t j, std::int64_t count) {
 
 void Ledger::borrow(std::uint32_t j) {
   DLB_REQUIRE(j < classes_, "load class out of range");
-  const std::size_t pos = slot(j);
-  DLB_REQUIRE(pos < active_.size() && d_counts_[pos] > 0,
+  const std::uint32_t pos = slot(j);
+  DLB_REQUIRE(pos < size_ && d_data()[pos] > 0,
               "borrow needs a real packet of the class");
-  DLB_REQUIRE(b_counts_[pos] == 0, "at most one marker per class (paper, §4)");
+  DLB_REQUIRE(b_data()[pos] == 0, "at most one marker per class (paper, §4)");
   // d + b goes 1 packet -> 1 marker: the entry stays active throughout.
-  d_counts_[pos] -= 1;
-  b_counts_[pos] += 1;
+  d_data()[pos] -= 1;
+  b_data()[pos] += 1;
   real_ -= 1;
   borrowed_ += 1;
-  insert_sorted(marked_, j);
+  insert_marked(j);
 }
 
 void Ledger::clear_marker(std::uint32_t j) {
   DLB_REQUIRE(j < classes_, "load class out of range");
-  const std::size_t pos = slot(j);
-  DLB_REQUIRE(pos < active_.size() && b_counts_[pos] > 0,
+  const std::uint32_t pos = slot(j);
+  DLB_REQUIRE(pos < size_ && b_data()[pos] > 0,
               "no marker of this class to clear");
-  b_counts_[pos] -= 1;
+  b_data()[pos] -= 1;
   borrowed_ -= 1;
-  if (b_counts_[pos] == 0) erase_sorted(marked_, j);
+  if (b_data()[pos] == 0) erase_marked(j);
   drop_if_zero(pos);
 }
 
 void Ledger::repay_with_generation(std::uint32_t j) {
   DLB_REQUIRE(j < classes_, "load class out of range");
-  const std::size_t pos = slot(j);
-  DLB_REQUIRE(pos < active_.size() && b_counts_[pos] > 0,
+  const std::uint32_t pos = slot(j);
+  DLB_REQUIRE(pos < size_ && b_data()[pos] > 0,
               "no outstanding debt of this class");
   // Marker -> real packet: the entry stays active throughout.
-  b_counts_[pos] -= 1;
+  b_data()[pos] -= 1;
   borrowed_ -= 1;
-  if (b_counts_[pos] == 0) erase_sorted(marked_, j);
-  d_counts_[pos] += 1;
+  if (b_data()[pos] == 0) erase_marked(j);
+  d_data()[pos] += 1;
   real_ += 1;
 }
 
 void Ledger::set_d(std::uint32_t j, std::int64_t value) {
   DLB_REQUIRE(j < classes_, "load class out of range");
   DLB_REQUIRE(value >= 0, "negative real count");
-  const std::size_t pos = lower_slot(j);
-  if (pos < active_.size() && active_[pos] == j) {
-    real_ += value - d_counts_[pos];
-    d_counts_[pos] = value;
+  const std::uint32_t pos = lower_slot(j);
+  if (pos < size_ && cls_data()[pos] == j) {
+    real_ += value - d_data()[pos];
+    d_data()[pos] = value;
     drop_if_zero(pos);
   } else if (value > 0) {
     insert_entry(pos, j, value, 0);
@@ -166,21 +248,21 @@ void Ledger::set_b(std::uint32_t j, std::int64_t value) {
   DLB_REQUIRE(j < classes_, "load class out of range");
   DLB_REQUIRE(value == 0 || value == 1,
               "marker counts are 0 or 1 (paper, §4)");
-  const std::size_t pos = lower_slot(j);
-  if (pos < active_.size() && active_[pos] == j) {
-    if (b_counts_[pos] == value) return;
-    borrowed_ += value - b_counts_[pos];
-    b_counts_[pos] = value;
+  const std::uint32_t pos = lower_slot(j);
+  if (pos < size_ && cls_data()[pos] == j) {
+    if (b_data()[pos] == value) return;
+    borrowed_ += value - b_data()[pos];
+    b_data()[pos] = value;
     if (value > 0) {
-      insert_sorted(marked_, j);
+      insert_marked(j);
     } else {
-      erase_sorted(marked_, j);
+      erase_marked(j);
       drop_if_zero(pos);
     }
   } else if (value > 0) {
     insert_entry(pos, j, 0, 1);
     borrowed_ += 1;
-    insert_sorted(marked_, j);
+    insert_marked(j);
   }
 }
 
@@ -188,31 +270,10 @@ void Ledger::apply_dealt(const std::uint32_t* cls, std::size_t k,
                          const std::int64_t* d_vals,
                          const std::int64_t* b_vals) {
   DLB_REQUIRE(cls != nullptr || k == 0, "null class list");
-  // Shared merge scratch: one warm buffer set per thread instead of four
-  // growth-cascading vectors per ledger.  The final swap donates the
-  // merged buffers to this ledger and parks its old vectors here, so
-  // capacities circulate and reach the steady-state maximum after a few
-  // balancing operations — after which the write-back allocates nothing.
-  MergeScratch& merge = merge_scratch();
-  std::vector<std::uint32_t>& active_merge_ = merge.active;
-  std::vector<std::int64_t>& d_merge_ = merge.d;
-  std::vector<std::int64_t>& b_merge_ = merge.b;
-  std::vector<std::uint32_t>& marked_merge_ = merge.marked;
-  active_merge_.clear();
-  d_merge_.clear();
-  b_merge_.clear();
-  marked_merge_.clear();
-  const std::size_t max_entries = active_.size() + k;
-  if (active_merge_.capacity() < max_entries) {
-    const std::size_t cap =
-        std::max(max_entries, 2 * active_merge_.capacity());
-    active_merge_.reserve(cap);
-    d_merge_.reserve(cap);
-    b_merge_.reserve(cap);
-    marked_merge_.reserve(cap);
-  }
+  // Pass 1 (pure reads): validate the dealt columns and count the union
+  // of the old active list and cls — the room the in-place merge needs.
   std::size_t ai = 0;
-  std::size_t mi = 0;
+  std::size_t shared = 0;
   std::uint32_t prev = 0;
   for (std::size_t c = 0; c < k; ++c) {
     const std::uint32_t j = cls[c];
@@ -222,44 +283,53 @@ void Ledger::apply_dealt(const std::uint32_t* cls, std::size_t k,
     DLB_REQUIRE(d_vals[c] >= 0, "negative real count");
     DLB_REQUIRE(b_vals[c] == 0 || b_vals[c] == 1,
                 "marker counts are 0 or 1 (paper, §4)");
-    // Carry over entries for classes below j, then drop j's own (re-added
-    // below if it remains active/marked).
-    while (ai < active_.size() && active_[ai] < j) {
-      active_merge_.push_back(active_[ai]);
-      d_merge_.push_back(d_counts_[ai]);
-      b_merge_.push_back(b_counts_[ai]);
-      ++ai;
+    while (ai < size_ && cls_data()[ai] < j) ++ai;
+    if (ai < size_ && cls_data()[ai] == j) ++shared;
+  }
+  const auto union_size = static_cast<std::uint32_t>(size_ + k - shared);
+  reserve_slots(union_size);
+  // Pass 2: merge backwards from the end of the union's room.  Every
+  // union element consumes one slot at most, so the write cursor w never
+  // drops below the unread old prefix [0, ai) — no scratch buffer.
+  std::uint32_t* act = cls_data();
+  std::int64_t* d = d_data();
+  std::int64_t* b = b_data();
+  std::uint32_t a = size_;
+  std::uint32_t w = union_size;
+  for (std::size_t c = k; c-- > 0;) {
+    const std::uint32_t j = cls[c];
+    while (a > 0 && act[a - 1] > j) {
+      --a;
+      --w;
+      act[w] = act[a];
+      d[w] = d[a];
+      b[w] = b[a];
     }
     std::int64_t old_d = 0;
     std::int64_t old_b = 0;
-    if (ai < active_.size() && active_[ai] == j) {
-      old_d = d_counts_[ai];
-      old_b = b_counts_[ai];
-      ++ai;
+    if (a > 0 && act[a - 1] == j) {
+      --a;
+      old_d = d[a];
+      old_b = b[a];
     }
-    while (mi < marked_.size() && marked_[mi] < j)
-      marked_merge_.push_back(marked_[mi++]);
-    if (mi < marked_.size() && marked_[mi] == j) ++mi;
     real_ += d_vals[c] - old_d;
     borrowed_ += b_vals[c] - old_b;
     if (d_vals[c] > 0 || b_vals[c] > 0) {
-      active_merge_.push_back(j);
-      d_merge_.push_back(d_vals[c]);
-      b_merge_.push_back(b_vals[c]);
+      --w;
+      act[w] = j;
+      d[w] = d_vals[c];
+      b[w] = b_vals[c];
     }
-    if (b_vals[c] > 0) marked_merge_.push_back(j);
   }
-  while (ai < active_.size()) {
-    active_merge_.push_back(active_[ai]);
-    d_merge_.push_back(d_counts_[ai]);
-    b_merge_.push_back(b_counts_[ai]);
-    ++ai;
+  // The untouched old prefix [0, a) stays put; close the gap after it.
+  const std::uint32_t tail = union_size - w;
+  if (a != w) {
+    std::copy(act + w, act + union_size, act + a);
+    std::copy(d + w, d + union_size, d + a);
+    std::copy(b + w, b + union_size, b + a);
   }
-  while (mi < marked_.size()) marked_merge_.push_back(marked_[mi++]);
-  active_.swap(active_merge_);
-  d_counts_.swap(d_merge_);
-  b_counts_.swap(b_merge_);
-  marked_.swap(marked_merge_);
+  size_ = a + tail;
+  rebuild_marked();
 }
 
 void Ledger::replace_dealt(const std::uint32_t* cls, std::size_t k,
@@ -271,10 +341,12 @@ void Ledger::replace_dealt(const std::uint32_t* cls, std::size_t k,
   // new totals.  Because cls covers every active class, the post state is
   // determined by the dealt arrays alone: real_/borrowed_ are plain sums
   // and no old entry survives outside cls.
+  const std::uint32_t* act = cls_data();
   std::size_t ai = 0;
   std::uint32_t prev = 0;
   std::int64_t real = 0;
   std::int64_t borrowed = 0;
+  std::uint32_t live = 0;
   for (std::size_t c = 0; c < k; ++c) {
     const std::uint32_t j = cls[c];
     DLB_REQUIRE(j < classes_, "load class out of range");
@@ -283,30 +355,29 @@ void Ledger::replace_dealt(const std::uint32_t* cls, std::size_t k,
     DLB_REQUIRE(d_vals[c] >= 0, "negative real count");
     DLB_REQUIRE(b_vals[c] == 0 || b_vals[c] == 1,
                 "marker counts are 0 or 1 (paper, §4)");
-    if (ai < active_.size() && active_[ai] == j) ++ai;
+    if (ai < size_ && act[ai] == j) ++ai;
     real += d_vals[c];
     borrowed += b_vals[c];
+    if (d_vals[c] > 0 || b_vals[c] > 0) ++live;
   }
-  DLB_REQUIRE(ai == active_.size(),
+  DLB_REQUIRE(ai == size_,
               "replace_dealt needs cls to cover every active class");
-  // Pass 2: rebuild the compact storage in place — the old contents are
-  // fully superseded, so no merge (and no scratch buffer) is needed.
-  active_.clear();
-  d_counts_.clear();
-  b_counts_.clear();
-  marked_.clear();
-  if (active_.capacity() < k) {
-    const std::size_t cap = std::max(k, 2 * active_.capacity());
-    active_.reserve(cap);
-    d_counts_.reserve(cap);
-    b_counts_.reserve(cap);
-  }
+  // Pass 2: rebuild the slots in place — the old contents are fully
+  // superseded, so no merge is needed.
+  size_ = 0;
+  marked_size_ = 0;
+  reserve_slots(live);
+  std::uint32_t* out_cls = cls_data();
+  std::uint32_t* marked = marked_data();
+  std::int64_t* d = d_data();
+  std::int64_t* b = b_data();
   for (std::size_t c = 0; c < k; ++c) {
     if (d_vals[c] > 0 || b_vals[c] > 0) {
-      active_.push_back(cls[c]);
-      d_counts_.push_back(d_vals[c]);
-      b_counts_.push_back(b_vals[c]);
-      if (b_vals[c] > 0) marked_.push_back(cls[c]);
+      out_cls[size_] = cls[c];
+      d[size_] = d_vals[c];
+      b[size_] = b_vals[c];
+      ++size_;
+      if (b_vals[c] > 0) marked[marked_size_++] = cls[c];
     }
   }
   real_ = real;
@@ -319,74 +390,70 @@ void Ledger::replace(std::vector<std::int64_t> d_new,
               "replacement vectors must match the class count");
   std::int64_t real = 0;
   std::int64_t borrowed = 0;
+  std::uint32_t live = 0;
   for (std::size_t j = 0; j < d_new.size(); ++j) {
     DLB_REQUIRE(d_new[j] >= 0, "negative real count in replacement");
     DLB_REQUIRE(b_new[j] >= 0, "negative marker count in replacement");
     real += d_new[j];
     borrowed += b_new[j];
+    if (d_new[j] > 0 || b_new[j] > 0) ++live;
   }
-  active_.clear();
-  d_counts_.clear();
-  b_counts_.clear();
-  marked_.clear();
+  size_ = 0;
+  marked_size_ = 0;
+  reserve_slots(live);
+  std::uint32_t* cls = cls_data();
+  std::uint32_t* marked = marked_data();
+  std::int64_t* d = d_data();
+  std::int64_t* b = b_data();
   for (std::uint32_t j = 0; j < classes_; ++j) {
     if (d_new[j] > 0 || b_new[j] > 0) {
-      active_.push_back(j);
-      d_counts_.push_back(d_new[j]);
-      b_counts_.push_back(b_new[j]);
+      cls[size_] = j;
+      d[size_] = d_new[j];
+      b[size_] = b_new[j];
+      ++size_;
     }
-    if (b_new[j] > 0) marked_.push_back(j);
+    if (b_new[j] > 0) marked[marked_size_++] = j;
   }
   real_ = real;
   borrowed_ = borrowed;
 }
 
 void Ledger::reserve_active(std::uint32_t k) {
-  const auto cap = static_cast<std::size_t>(std::min(k, classes_));
-  active_.reserve(cap);
-  d_counts_.reserve(cap);
-  b_counts_.reserve(cap);
-  marked_.reserve(cap);
-}
-
-void Ledger::warm_thread_scratch(std::size_t entries) {
-  MergeScratch& scratch = merge_scratch();
-  if (scratch.active.capacity() >= entries) return;
-  scratch.active.reserve(entries);
-  scratch.d.reserve(entries);
-  scratch.b.reserve(entries);
-  scratch.marked.reserve(entries);
+  reserve_slots(std::min(k, classes_));
 }
 
 std::uint32_t Ledger::first_marked_class() const {
-  return marked_.empty() ? classes_ : marked_.front();
+  return marked_size_ == 0 ? classes_ : marked_data()[0];
 }
 
 void Ledger::check(std::uint32_t borrow_cap) const {
-  DLB_ENSURE(d_counts_.size() == active_.size() &&
-                 b_counts_.size() == active_.size(),
-             "parallel count vectors out of shape (S2)");
+  DLB_ENSURE(size_ <= capacity_ && marked_size_ <= size_,
+             "slot counts exceed the block (S2)");
+  const std::uint32_t* act = cls_data();
+  const std::uint32_t* marked = marked_data();
+  const std::int64_t* d = d_data();
+  const std::int64_t* b = b_data();
   std::int64_t real = 0;
   std::int64_t borrowed = 0;
-  std::size_t marked_count = 0;
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    DLB_ENSURE(active_[i] < classes_, "active class out of range (S1)");
-    DLB_ENSURE(i == 0 || active_[i] > active_[i - 1],
+  std::uint32_t marked_count = 0;
+  for (std::uint32_t i = 0; i < size_; ++i) {
+    DLB_ENSURE(act[i] < classes_, "active class out of range (S1)");
+    DLB_ENSURE(i == 0 || act[i] > act[i - 1],
                "active classes not strictly ascending (S1/L3)");
-    DLB_ENSURE(d_counts_[i] >= 0, "negative real count");
-    DLB_ENSURE(b_counts_[i] >= 0, "negative marker count");
-    DLB_ENSURE(d_counts_[i] > 0 || b_counts_[i] > 0,
+    DLB_ENSURE(d[i] >= 0, "negative real count");
+    DLB_ENSURE(b[i] >= 0, "negative marker count");
+    DLB_ENSURE(d[i] > 0 || b[i] > 0,
                "zero entry stored in the compact ledger (S1)");
-    real += d_counts_[i];
-    borrowed += b_counts_[i];
-    if (b_counts_[i] > 0) {
-      DLB_ENSURE(marked_count < marked_.size() &&
-                     marked_[marked_count] == active_[i],
+    real += d[i];
+    borrowed += b[i];
+    if (b[i] > 0) {
+      DLB_ENSURE(marked_count < marked_size_ &&
+                     marked[marked_count] == act[i],
                  "marked-class index out of sync (L4)");
       ++marked_count;
     }
   }
-  DLB_ENSURE(marked_count == marked_.size(),
+  DLB_ENSURE(marked_count == marked_size_,
              "stale entries in the marked-class index (L4)");
   DLB_ENSURE(real == real_, "cached real load out of sync (L1)");
   DLB_ENSURE(borrowed == borrowed_, "cached borrow total out of sync");
@@ -396,23 +463,18 @@ void Ledger::check(std::uint32_t borrow_cap) const {
 
 std::vector<std::int64_t> Ledger::dense_d() const {
   std::vector<std::int64_t> out(classes_, 0);
-  for (std::size_t i = 0; i < active_.size(); ++i)
-    out[active_[i]] = d_counts_[i];
+  for (std::uint32_t i = 0; i < size_; ++i) out[cls_data()[i]] = d_data()[i];
   return out;
 }
 
 std::vector<std::int64_t> Ledger::dense_b() const {
   std::vector<std::int64_t> out(classes_, 0);
-  for (std::size_t i = 0; i < active_.size(); ++i)
-    out[active_[i]] = b_counts_[i];
+  for (std::uint32_t i = 0; i < size_; ++i) out[cls_data()[i]] = b_data()[i];
   return out;
 }
 
 std::size_t Ledger::memory_bytes() const {
-  return active_.capacity() * sizeof(std::uint32_t) +
-         d_counts_.capacity() * sizeof(std::int64_t) +
-         b_counts_.capacity() * sizeof(std::int64_t) +
-         marked_.capacity() * sizeof(std::uint32_t);
+  return sizeof(Ledger) + (spilled() ? capacity_ * kSlotBytes : 0);
 }
 
 }  // namespace dlb

@@ -1,6 +1,7 @@
 #include "core/system.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "core/scratch.hpp"
@@ -11,18 +12,6 @@
 #include "workload/schedule.hpp"
 
 namespace dlb {
-
-namespace {
-
-// try_borrow's candidate list, hoisted out of the function so
-// warm_thread_scratch can pre-size it (one warm vector per thread — the
-// async shards borrow concurrently).
-std::vector<std::uint32_t>& borrow_candidates() {
-  thread_local std::vector<std::uint32_t> candidates;
-  return candidates;
-}
-
-}  // namespace
 
 System::System(std::uint32_t processors, BalancerConfig config,
                std::uint64_t seed, const Topology* topology)
@@ -132,14 +121,16 @@ void System::run(const Workload& workload) {
     events.clear();
     for (const ActiveSchedule::Entry& e : entries) {
       WorkEvent ev;
-      ev.generate = rng_.bernoulli(e.phase->generate_prob);
-      ev.consume = rng_.bernoulli(e.phase->consume_prob);
+      ev.generate = rng_.bernoulli(e.generate_prob);
+      ev.consume = rng_.bernoulli(e.consume_prob);
       if (ev.generate || ev.consume) events.emplace_back(e.proc, ev);
     }
+    StepCounters counters;
     for (const auto& [p, ev] : events) {
-      if (ev.generate) generate(p, rng_);
-      if (ev.consume) consume(p, rng_);
+      if (ev.generate) generate(p, rng_, counters);
+      if (ev.consume) consume(p, rng_, counters);
     }
+    commit(counters);
     if (post_step_check_) check_invariants();
     emit_loads(t);
     if (track_allocs)
@@ -174,10 +165,12 @@ void System::run(const Trace& trace) {
 void System::step(std::uint32_t t, const std::vector<WorkEvent>& events) {
   DLB_REQUIRE(events.size() == processors(),
               "one event per processor required");
+  StepCounters counters;
   for (std::uint32_t p = 0; p < processors(); ++p) {
-    if (events[p].generate) generate(p, rng_);
-    if (events[p].consume) consume(p, rng_);
+    if (events[p].generate) generate(p, rng_, counters);
+    if (events[p].consume) consume(p, rng_, counters);
   }
+  commit(counters);
   if (post_step_check_) check_invariants();
   emit_loads(t);
 }
@@ -212,12 +205,19 @@ void System::commit(const StepCounters& counters) {
     emit_borrow_event(BorrowEvent::TotalBorrow);
 }
 
-void System::generate(std::uint32_t p) { generate(p, rng_); }
+void System::raise_total_borrows(StepCounters& counters) {
+  for (; counters.total_borrows > 0; --counters.total_borrows)
+    emit_borrow_event(BorrowEvent::TotalBorrow);
+}
 
-void System::generate(std::uint32_t p, Rng& rng) {
+void System::generate(std::uint32_t p) {
   StepCounters counters;
-  generate_packet(p, rng, counters);
+  generate(p, rng_, counters);
   commit(counters);
+}
+
+void System::generate(std::uint32_t p, Rng& rng, StepCounters& counters) {
+  generate_packet(p, rng, counters);
   maybe_balance(p, rng);
 }
 
@@ -230,7 +230,7 @@ void System::generate_packet(std::uint32_t p, Rng& rng,
     // outstanding debt (the marker becomes a real packet of its class).
     // marked_classes() is ascending, matching the class order the dense
     // scan produced, so the drawn index maps to the same class.
-    const std::vector<std::uint32_t>& marked = ledger.marked_classes();
+    const std::span<const std::uint32_t> marked = ledger.marked_classes();
     const std::uint32_t j =
         marked[static_cast<std::size_t>(rng.below(marked.size()))];
     ledger.repay_with_generation(j);
@@ -241,12 +241,16 @@ void System::generate_packet(std::uint32_t p, Rng& rng,
   touch_load(p);
 }
 
-bool System::consume(std::uint32_t p) { return consume(p, rng_); }
-
-bool System::consume(std::uint32_t p, Rng& rng) {
+bool System::consume(std::uint32_t p) {
   StepCounters counters;
-  const ConsumeLocal result = consume_packet(p, rng, counters);
+  const bool ok = consume(p, rng_, counters);
   commit(counters);
+  return ok;
+}
+
+bool System::consume(std::uint32_t p, Rng& rng, StepCounters& counters) {
+  const ConsumeLocal result = consume_packet(p, rng, counters);
+  raise_total_borrows(counters);
   switch (result) {
     case ConsumeLocal::ConsumedOwn:
       maybe_balance(p, rng);
@@ -261,9 +265,8 @@ bool System::consume(std::uint32_t p, Rng& rng) {
   // Capacity exhausted or every held class already carries a marker:
   // settle outstanding debts, then retry once.
   settle_debts(p, rng);
-  StepCounters retry;
-  const bool ok = try_borrow(p, rng, retry);
-  commit(retry);
+  const bool ok = try_borrow(p, rng, counters);
+  raise_total_borrows(counters);
   return ok;
 }
 
@@ -292,23 +295,24 @@ bool System::try_borrow(std::uint32_t p, Rng& rng, StepCounters& counters) {
     return false;
   // Candidates {j : d[j] > 0, b[j] == 0} enumerated over the active
   // classes only — ascending, like the dense scan, so the drawn index
-  // maps to the same class.  Thread-local scratch: the async shards'
-  // local phases borrow concurrently.
-  std::vector<std::uint32_t>& candidates = borrow_candidates();
-  candidates.clear();
-  const auto& active = ledger.active_classes();
-  // Track the ledger's reserved capacity, not the current occupancy —
-  // an exact-fit reserve would reallocate on every occupancy high-water
-  // mark for the rest of the run (the zero-alloc dribble).
-  candidates.reserve(active.capacity());
-  const auto& d_counts = ledger.active_d();
-  const auto& b_counts = ledger.active_b();
+  // maps to the same class.  Counted, drawn, then found again by rank:
+  // no candidate list is materialized.
+  const std::span<const std::uint32_t> active = ledger.active_classes();
+  const std::span<const std::int64_t> d_counts = ledger.active_d();
+  const std::span<const std::int64_t> b_counts = ledger.active_b();
+  std::size_t candidates = 0;
   for (std::size_t i = 0; i < active.size(); ++i)
-    if (d_counts[i] > 0 && b_counts[i] == 0)
-      candidates.push_back(active[i]);
-  if (candidates.empty()) return false;
-  const std::uint32_t j = candidates[static_cast<std::size_t>(
-      rng.below(candidates.size()))];
+    if (d_counts[i] > 0 && b_counts[i] == 0) ++candidates;
+  if (candidates == 0) return false;
+  auto rank = static_cast<std::size_t>(rng.below(candidates));
+  std::size_t i = 0;
+  for (;; ++i) {
+    if (d_counts[i] > 0 && b_counts[i] == 0) {
+      if (rank == 0) break;
+      --rank;
+    }
+  }
+  const std::uint32_t j = active[i];
   ledger.borrow(j);
   ++counters.consumed;
   ++counters.total_borrows;
@@ -320,7 +324,7 @@ void System::settle_debts(std::uint32_t p, Rng& rng) {
   if (metrics_ != nullptr) m_.settlements->add(1);
   if (trace_ != nullptr) trace_->instant("settle", "borrow", 0, p);
   Ledger& ledger = procs_[p].ledger;
-  const std::vector<std::uint32_t>& marked = ledger.marked_classes();
+  const std::span<const std::uint32_t> marked = ledger.marked_classes();
   DLB_ENSURE(!marked.empty(), "settle_debts without outstanding markers");
   const std::uint32_t j =
       marked[static_cast<std::size_t>(rng.below(marked.size()))];
@@ -560,11 +564,6 @@ void System::warm_thread_scratch() {
   if (config_.reserve_classes == 0) return;
   const std::size_t m = static_cast<std::size_t>(config_.delta) + 1;
   balance_scratch().reserve_bounds(m, processors());
-  borrow_candidates().reserve(config_.reserve_classes);
-  // The merge peaks at old entries + dealt columns, each bounded by the
-  // per-ledger reserve.
-  Ledger::warm_thread_scratch(
-      2 * static_cast<std::size_t>(config_.reserve_classes));
   snake_warm_thread_scratch(m);
   // Depth 8 covers every balance → cancel → re-balance chain seen in
   // practice; a deeper chain merely re-warms lazily at that depth.
@@ -611,7 +610,7 @@ void System::balance_deal(std::uint32_t initiator,
   union_classes.clear();
   for (std::size_t r = 0; r < m; ++r) {
     const Ledger& ledger = procs_[participants[r]].ledger;
-    const auto& active = ledger.active_classes();
+    const std::span<const std::uint32_t> active = ledger.active_classes();
     // The gather below streams each participant's count vectors; their
     // first lines are cold (random partners), so start the loads now and
     // let the union merge hide the latency.
@@ -644,9 +643,9 @@ void System::balance_deal(std::uint32_t initiator,
   scratch_b.assign(m * k, 0);
   for (std::size_t r = 0; r < m; ++r) {
     const Ledger& ledger = procs_[participants[r]].ledger;
-    const auto& active = ledger.active_classes();
-    const auto& d_counts = ledger.active_d();
-    const auto& b_counts = ledger.active_b();
+    const std::span<const std::uint32_t> active = ledger.active_classes();
+    const std::span<const std::int64_t> d_counts = ledger.active_d();
+    const std::span<const std::int64_t> b_counts = ledger.active_b();
     std::size_t c = 0;
     for (std::size_t i = 0; i < active.size(); ++i) {
       // active[i] is in the union by construction.

@@ -207,16 +207,19 @@ class System {
   // balancing core, and the counters (all atomic or per-thread).
   friend class AsyncEngine;
 
-  // Per-call event counters.  The async shards' local phases run
-  // generate/consume concurrently, so the shared totals (and the
-  // recorder) cannot be bumped from inside those paths; counts accumulate
-  // here and are committed at a serial point.  The sequential wrappers
-  // commit immediately after each call, preserving the original stream.
+  // Per-step event counters.  The async shards' local phases run
+  // generate/consume concurrently, so the shared totals cannot be bumped
+  // from inside those paths; counts accumulate here and are committed at
+  // a serial point.  The sequential drivers commit once per step, before
+  // the post-step check and the recorder's load snapshot; the direct-
+  // manipulation calls commit after each call.
   struct StepCounters {
     std::uint64_t generated = 0;
     std::uint64_t consumed = 0;
     std::uint64_t total_borrows = 0;  // BorrowEvent::TotalBorrow emissions
   };
+  // Adds the generate/consume counts to the run totals (and metrics) and
+  // emits any TotalBorrow events not yet raised.
   void commit(const StepCounters& counters);
 
   // Outcome of the shard-local part of a consume.
@@ -238,9 +241,14 @@ class System {
                               StepCounters& counters);
   bool try_borrow(std::uint32_t p, Rng& rng, StepCounters& counters);
 
-  // Full sequential semantics (local half + trigger/settlement).
-  void generate(std::uint32_t p, Rng& rng);
-  bool consume(std::uint32_t p, Rng& rng);
+  // Full sequential semantics (local half + trigger/settlement).  Event
+  // counts accumulate in `counters` for the caller to commit; TotalBorrow
+  // events are raised on the spot, so metrics and the recorder see them
+  // in the order they happen.
+  void generate(std::uint32_t p, Rng& rng, StepCounters& counters);
+  bool consume(std::uint32_t p, Rng& rng, StepCounters& counters);
+  // Emits counters.total_borrows TotalBorrow events and zeroes the count.
+  void raise_total_borrows(StepCounters& counters);
 
   // Trigger predicate for p ([D1]): the self-generated load has drifted
   // by the factor f since the last balancing operation.
@@ -251,11 +259,10 @@ class System {
 
   // Zero-alloc opt-in (reserve_classes > 0, DESIGN.md §11): pre-sizes
   // every lazily-grown thread_local on the balancing path — balance
-  // scratch, borrow candidates, ledger merge buffers, snake flow
-  // scratch, the partner-draw pool — to its analytic bound.  Each driver
-  // calls this once per worker thread at startup, so a thread whose
-  // first balancing operation lands late in the run does not pay its
-  // one-time warmup there.  No-op without the opt-in.
+  // scratch, snake flow scratch, the partner-draw pool — to its analytic
+  // bound.  Each driver calls this once per worker thread at startup, so
+  // a thread whose first balancing operation lands late in the run does
+  // not pay its one-time warmup there.  No-op without the opt-in.
   void warm_thread_scratch();
 
   // Balancing operation over initiator + delta random partners.
@@ -337,8 +344,9 @@ class System {
   obs::TraceBuffer* trace_ = nullptr;
   CostLedger costs_;
   // Run counters are atomic so the async shards can commit concurrently
-  // (relaxed adds; no ordering is derived from them).  The sequential
-  // drivers pay nothing: an uncontended relaxed add is a plain add.
+  // (relaxed adds; no ordering is derived from them).  On x86 every such
+  // add is a locked read-modify-write even uncontended, so the
+  // sequential drivers commit once per step rather than per event.
   AtomicCounter generated_;
   AtomicCounter consumed_;
   AtomicCounter balance_ops_;
@@ -346,8 +354,7 @@ class System {
   bool post_step_check_ = false;
   // The balancing scratch matrices (compact (delta+1) x k deal buffers)
   // live in a thread_local inside balance_deal — run_async executes
-  // balancing operations concurrently, one per shard thread — as does
-  // the borrow-candidate scratch inside try_borrow.
+  // balancing operations concurrently, one per shard thread.
   // Delta-maintained loads for the recorder path (see touch_load).
   std::vector<std::int64_t> loads_cache_;
   bool loads_cache_valid_ = false;

@@ -655,8 +655,8 @@ void AsyncEngine::det_worker(Shard& sh) {
       sh.events.clear();
       for (const ActiveSchedule::Entry& entry : entries) {
         WorkEvent ev;
-        ev.generate = sh.rng.bernoulli(entry.phase->generate_prob);
-        ev.consume = sh.rng.bernoulli(entry.phase->consume_prob);
+        ev.generate = sh.rng.bernoulli(entry.generate_prob);
+        ev.consume = sh.rng.bernoulli(entry.consume_prob);
         if (ev.generate || ev.consume) sh.events.emplace_back(entry.proc, ev);
       }
       for (const auto& [p, ev] : sh.events) {
@@ -751,8 +751,8 @@ void AsyncEngine::relaxed_worker(Shard& sh) {
     sh.events.clear();
     for (const ActiveSchedule::Entry& entry : entries) {
       WorkEvent ev;
-      ev.generate = sh.rng.bernoulli(entry.phase->generate_prob);
-      ev.consume = sh.rng.bernoulli(entry.phase->consume_prob);
+      ev.generate = sh.rng.bernoulli(entry.generate_prob);
+      ev.consume = sh.rng.bernoulli(entry.consume_prob);
       if (ev.generate || ev.consume) sh.events.emplace_back(entry.proc, ev);
     }
     for (const auto& [p, ev] : sh.events) {

@@ -15,6 +15,8 @@
 #include <limits>
 #include <vector>
 
+#include "support/check.hpp"
+
 namespace dlb {
 
 /// SplitMix64: used to expand a 64-bit seed into xoshiro state and to
@@ -49,6 +51,9 @@ class Rng {
 
   result_type operator()() { return next(); }
 
+  // The per-event draws (next, below, uniform01, bernoulli) are defined
+  // inline below: the simulator's hot loops call them millions of times
+  // per run from other translation units.
   std::uint64_t next();
 
   /// Unbiased uniform integer in [0, bound) via Lemire's method.
@@ -99,7 +104,50 @@ class Rng {
   }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_{};
 };
+
+inline std::uint64_t Rng::next() {
+  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = rotl(s_[3], 45);
+  return result;
+}
+
+inline std::uint64_t Rng::below(std::uint64_t bound) {
+  DLB_REQUIRE(bound > 0, "Rng::below requires a positive bound");
+  // Lemire's nearly-divisionless unbiased bounded generation.
+  std::uint64_t x = next();
+  __uint128_t m = static_cast<__uint128_t>(x) * bound;
+  auto lo = static_cast<std::uint64_t>(m);
+  if (lo < bound) {
+    const std::uint64_t threshold = (0 - bound) % bound;
+    while (lo < threshold) {
+      x = next();
+      m = static_cast<__uint128_t>(x) * bound;
+      lo = static_cast<std::uint64_t>(m);
+    }
+  }
+  return static_cast<std::uint64_t>(m >> 64);
+}
+
+inline double Rng::uniform01() {
+  return static_cast<double>(next() >> 11) * 0x1.0p-53;
+}
+
+inline bool Rng::bernoulli(double p) {
+  if (p <= 0.0) return false;
+  if (p >= 1.0) return true;
+  return uniform01() < p;
+}
 
 }  // namespace dlb

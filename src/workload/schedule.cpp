@@ -22,6 +22,23 @@ ActiveSchedule ActiveSchedule::strided(const Workload& workload,
   return schedule;
 }
 
+namespace {
+
+// Stable counting sort by step: boundaries with step < steps land grouped
+// by step, keeping their input order within a step.  O(items + steps);
+// the count array is transient, and every run visits all steps anyway.
+template <class Boundary>
+void bucket_by_step(std::vector<Boundary>& items, std::size_t steps) {
+  std::vector<std::size_t> start(steps + 1, 0);
+  for (const Boundary& b : items) ++start[b.step + 1];
+  for (std::size_t t = 1; t < start.size(); ++t) start[t] += start[t - 1];
+  std::vector<Boundary> sorted(items.size());
+  for (const Boundary& b : items) sorted[start[b.step]++] = b;
+  items.swap(sorted);
+}
+
+}  // namespace
+
 void ActiveSchedule::compile(const Workload& workload, std::uint32_t first,
                              std::uint32_t end, std::uint32_t step) {
   for (std::uint32_t p = first; p < end; p += step) {
@@ -29,21 +46,22 @@ void ActiveSchedule::compile(const Workload& workload, std::uint32_t first,
       if (ph.generate_prob == 0.0 && ph.consume_prob == 0.0)
         continue;  // silent phase: no draws, no events (see header)
       if (ph.start >= horizon_) continue;  // never reached
-      adds_.push_back(Boundary{ph.start, p, &ph});
+      adds_.push_back(
+          Addition{ph.start, Entry{p, ph.generate_prob, ph.consume_prob}});
       // The run loop only visits t < horizon, so clamp the removal step
       // to horizon (also avoids end+1 overflow for end == UINT32_MAX).
       const auto rem_step = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(ph.end, horizon_ - 1) + 1);
-      rems_.push_back(Boundary{rem_step, p, nullptr});
+      rems_.push_back(Removal{rem_step, p});
     }
   }
-  // (step, proc) pairs are unique per list: a processor's phases are
-  // disjoint, so it contributes at most one add and one remove per step.
-  const auto by_step_proc = [](const Boundary& a, const Boundary& b) {
-    return a.step != b.step ? a.step < b.step : a.proc < b.proc;
-  };
-  std::sort(adds_.begin(), adds_.end(), by_step_proc);
-  std::sort(rems_.begin(), rems_.end(), by_step_proc);
+  // Boundaries were appended in ascending processor order, so a stable
+  // bucket pass by step yields (step, proc) order.  The pairs are unique
+  // per list: a processor's phases are disjoint, so it contributes at
+  // most one add and one remove per step.  Add steps are < horizon,
+  // removal steps <= horizon.
+  bucket_by_step(adds_, horizon_);
+  bucket_by_step(rems_, static_cast<std::size_t>(horizon_) + 1);
 }
 
 void ActiveSchedule::reset() {
@@ -73,15 +91,15 @@ const std::vector<ActiveSchedule::Entry>& ActiveSchedule::advance(
   std::size_t r = r0;
   while (i < active_.size() || a < add_i_) {
     if (a == add_i_ ||
-        (i < active_.size() && active_[i].proc < adds_[a].proc)) {
+        (i < active_.size() && active_[i].proc < adds_[a].entry.proc)) {
       if (r < rem_i_ && rems_[r].proc == active_[i].proc) {
         ++r;  // phase ended, nothing starts: drop
       } else {
         scratch_.push_back(active_[i]);
       }
       ++i;
-    } else if (i == active_.size() || adds_[a].proc < active_[i].proc) {
-      scratch_.push_back(Entry{adds_[a].proc, adds_[a].phase});
+    } else if (i == active_.size() || adds_[a].entry.proc < active_[i].proc) {
+      scratch_.push_back(adds_[a].entry);
       ++a;
     } else {
       // Same processor: phases are disjoint, so the old one must end
@@ -89,7 +107,7 @@ const std::vector<ActiveSchedule::Entry>& ActiveSchedule::advance(
       DLB_ENSURE(r < rem_i_ && rems_[r].proc == active_[i].proc,
                  "overlapping phases in the compiled schedule");
       ++r;
-      scratch_.push_back(Entry{adds_[a].proc, adds_[a].phase});
+      scratch_.push_back(adds_[a].entry);
       ++a;
       ++i;
     }

@@ -30,16 +30,18 @@ namespace dlb {
 
 class ActiveSchedule {
  public:
-  /// One active processor at the current step, with the phase governing
-  /// it (never null, never fully silent).
+  /// One active processor at the current step, with the probabilities of
+  /// the phase governing it (never both zero).  Self-contained: the
+  /// sampling loops read one sequential array and never chase a pointer
+  /// into the workload's per-processor phase storage.
   struct Entry {
     std::uint32_t proc;
-    const Phase* phase;
+    double generate_prob;
+    double consume_prob;
   };
 
   /// Compiles the schedule for every processor of `workload`.  The
-  /// workload must outlive the schedule (entries point into its phase
-  /// storage).
+  /// schedule copies what it needs; the workload may go away after.
   explicit ActiveSchedule(const Workload& workload);
 
   /// Compiles the schedule for the strided processor set
@@ -53,7 +55,8 @@ class ActiveSchedule {
 
   std::uint32_t horizon() const { return horizon_; }
   /// Total compiled (non-silent) phases — the schedule's memory is
-  /// O(phases), independent of horizon and of n.
+  /// O(phases), independent of horizon and of n.  Compiling is one stable
+  /// bucket pass by step, O(phases + horizon).
   std::size_t compiled_phases() const { return adds_.size(); }
 
   /// Advances to step t and returns the processors active at t,
@@ -72,16 +75,19 @@ class ActiveSchedule {
   void compile(const Workload& workload, std::uint32_t first,
                std::uint32_t end, std::uint32_t step);
 
-  struct Boundary {
+  struct Addition {
+    std::uint32_t step;
+    Entry entry;
+  };
+  struct Removal {
     std::uint32_t step;
     std::uint32_t proc;
-    const Phase* phase;  // null for removals
   };
 
   // Phase boundaries sorted by (step, proc): adds_ at phase starts,
   // rems_ at end+1.  Cursors advance monotonically with the step.
-  std::vector<Boundary> adds_;
-  std::vector<Boundary> rems_;
+  std::vector<Addition> adds_;
+  std::vector<Removal> rems_;
   std::size_t add_i_ = 0;
   std::size_t rem_i_ = 0;
   std::uint32_t next_t_ = 0;

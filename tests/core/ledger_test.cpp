@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
+#include <sstream>
+#include <utility>
 #include <vector>
 
+#include "core/checkpoint.hpp"
+#include "core/system.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -177,6 +182,11 @@ struct DenseReference {
   }
 };
 
+template <class T>
+std::vector<T> to_vector(std::span<const T> view) {
+  return std::vector<T>(view.begin(), view.end());
+}
+
 void expect_matches_reference(const Ledger& ledger,
                               const DenseReference& ref,
                               std::uint32_t cap) {
@@ -197,11 +207,11 @@ void expect_matches_reference(const Ledger& ledger,
   EXPECT_EQ(ledger.real_load(), real);
   EXPECT_EQ(ledger.borrowed_total(), borrowed);
   EXPECT_EQ(ledger.virtual_load(), real + borrowed);
-  EXPECT_EQ(ledger.active_classes(), want_active);
-  EXPECT_EQ(ledger.marked_classes(), want_marked);
-  const auto& active = ledger.active_classes();
-  const auto& d_counts = ledger.active_d();
-  const auto& b_counts = ledger.active_b();
+  EXPECT_EQ(to_vector(ledger.active_classes()), want_active);
+  EXPECT_EQ(to_vector(ledger.marked_classes()), want_marked);
+  const std::span<const std::uint32_t> active = ledger.active_classes();
+  const std::span<const std::int64_t> d_counts = ledger.active_d();
+  const std::span<const std::int64_t> b_counts = ledger.active_b();
   ASSERT_EQ(d_counts.size(), active.size());
   ASSERT_EQ(b_counts.size(), active.size());
   for (std::size_t i = 0; i < active.size(); ++i) {
@@ -322,7 +332,7 @@ TEST(LedgerProperty, SparseStorageTracksDenseReferenceUnderRandomOps) {
         std::vector<std::uint32_t> cls;
         std::vector<std::int64_t> d_vals;
         std::vector<std::int64_t> b_vals;
-        const auto& active = ledger.active_classes();
+        const std::span<const std::uint32_t> active = ledger.active_classes();
         std::size_t ai = 0;
         std::int64_t budget = kCap;  // every old marker is overwritten
         for (std::uint32_t c = 0; c < kClasses; ++c) {
@@ -365,6 +375,233 @@ TEST(LedgerProperty, FirstMarkedClassMatchesMarkedListHead) {
   EXPECT_EQ(ledger.first_marked_class(), 5u);
   ledger.clear_marker(5);
   EXPECT_EQ(ledger.first_marked_class(), 8u);
+}
+
+// ---- Inline/spill boundary --------------------------------------------
+//
+// A ledger keeps up to Ledger::kInlineClasses entries inside the object
+// and spills to one heap block above that.  This drives the active count
+// back and forth across the boundary through every mutator, copies and
+// moves the ledger in both states along the way (each copy/move must
+// re-point at its own storage), and checks everything against the dense
+// reference after every step.
+
+TEST(LedgerProperty, InlineSpillBoundaryTracksDenseReference) {
+  constexpr std::uint32_t kClasses = 12;
+  constexpr std::uint32_t kCap = 4;
+  constexpr std::size_t kInline = Ledger::kInlineClasses;
+  Rng rng(0xb0a4d);
+  Ledger ledger(kClasses);
+  DenseReference ref(kClasses);
+  int spills = 0;     // inline -> heap-sized occupancy crossings
+  int unspills = 0;   // back below the inline capacity
+  for (int op = 0; op < 6000; ++op) {
+    const std::size_t before = ledger.active_classes().size();
+    // Lean towards growth below the boundary and shrinkage above it, so
+    // the occupancy keeps crossing it.
+    const bool grow = rng.below(10) < (before <= kInline ? 7u : 3u);
+    const auto j = static_cast<std::uint32_t>(rng.below(kClasses));
+    switch (rng.below(4) + (grow ? 0 : 4)) {
+      case 0: {
+        const auto count = 1 + static_cast<std::int64_t>(rng.below(3));
+        ledger.add_real(j, count);
+        ref.d[j] += count;
+        break;
+      }
+      case 1:  // borrow keeps the entry, repay converts it back
+        if (ledger.d(j) > 0 && ledger.b(j) == 0 &&
+            ledger.borrowed_total() < kCap) {
+          ledger.borrow(j);
+          ref.d[j] -= 1;
+          ref.b[j] += 1;
+        } else if (ledger.b(j) > 0) {
+          ledger.repay_with_generation(j);
+          ref.b[j] -= 1;
+          ref.d[j] += 1;
+        }
+        break;
+      case 2: {
+        // General merge write-back over a random ascending subset,
+        // mostly nonzero so it inserts.
+        std::vector<std::uint32_t> cls;
+        std::vector<std::int64_t> d_vals;
+        std::vector<std::int64_t> b_vals;
+        std::int64_t budget = kCap - ref.borrowed();
+        for (std::uint32_t c = 0; c < kClasses; ++c) {
+          if (rng.below(3) != 0) continue;
+          cls.push_back(c);
+          d_vals.push_back(static_cast<std::int64_t>(rng.below(5)));
+          budget += ref.b[c];
+          const bool mark = budget > 0 && rng.below(4) == 0;
+          b_vals.push_back(mark ? 1 : 0);
+          budget -= mark ? 1 : 0;
+        }
+        ledger.apply_dealt(cls.data(), cls.size(), d_vals.data(),
+                           b_vals.data());
+        for (std::size_t i = 0; i < cls.size(); ++i) {
+          ref.d[cls[i]] = d_vals[i];
+          ref.b[cls[i]] = b_vals[i];
+        }
+        break;
+      }
+      case 3: {
+        // Dense replace with a fresh state of random occupancy.
+        DenseReference next(kClasses);
+        const auto density = 1 + rng.below(3);
+        std::int64_t markers = 0;
+        for (std::uint32_t c = 0; c < kClasses; ++c) {
+          if (rng.below(4) < density)
+            next.d[c] = 1 + static_cast<std::int64_t>(rng.below(3));
+          if (markers < kCap && rng.below(6) == 0) {
+            next.b[c] = 1;
+            ++markers;
+          }
+        }
+        ledger.replace(next.d, next.b);
+        ref = next;
+        break;
+      }
+      case 4:
+        if (ledger.d(j) > 0) {  // drop all of class j's real packets
+          const std::int64_t held = ledger.d(j);
+          ledger.remove_real(j, held);
+          ref.d[j] = 0;
+        }
+        break;
+      case 5:
+        if (ledger.b(j) > 0) {
+          ledger.clear_marker(j);
+          ref.b[j] -= 1;
+        }
+        break;
+      case 6: {
+        // Hot-path write-back over the active list plus extras, zeroing
+        // most columns so entries drop.
+        std::vector<std::uint32_t> cls;
+        std::vector<std::int64_t> d_vals;
+        std::vector<std::int64_t> b_vals;
+        const std::span<const std::uint32_t> active = ledger.active_classes();
+        std::size_t ai = 0;
+        std::int64_t budget = kCap;
+        for (std::uint32_t c = 0; c < kClasses; ++c) {
+          const bool required = ai < active.size() && active[ai] == c;
+          if (required) ++ai;
+          if (!required && rng.below(4) != 0) continue;
+          cls.push_back(c);
+          const bool live = rng.below(3) == 0;
+          d_vals.push_back(live ? 1 + static_cast<std::int64_t>(rng.below(3))
+                                : 0);
+          const bool mark = budget > 0 && rng.below(8) == 0;
+          b_vals.push_back(mark ? 1 : 0);
+          budget -= mark ? 1 : 0;
+        }
+        ledger.replace_dealt(cls.data(), cls.size(), d_vals.data(),
+                             b_vals.data());
+        ref = DenseReference(kClasses);
+        for (std::size_t i = 0; i < cls.size(); ++i) {
+          ref.d[cls[i]] = d_vals[i];
+          ref.b[cls[i]] = b_vals[i];
+        }
+        break;
+      }
+      case 7: {
+        // A wholesale shrink through the checkpoint-style bulk load: an
+        // empty ledger takes a small entry set via apply_dealt.
+        Ledger fresh(kClasses);
+        const std::uint32_t cls[] = {j};
+        const std::int64_t d_vals[] = {1};
+        const std::int64_t b_vals[] = {0};
+        fresh.apply_dealt(cls, 1, d_vals, b_vals);
+        ledger = fresh;
+        ref = DenseReference(kClasses);
+        ref.d[j] = 1;
+        break;
+      }
+    }
+    const std::size_t after = ledger.active_classes().size();
+    spills += before <= kInline && after > kInline ? 1 : 0;
+    unspills += before > kInline && after <= kInline ? 1 : 0;
+    expect_matches_reference(ledger, ref, kCap);
+    if (::testing::Test::HasFatalFailure()) return;
+    switch (op % 4) {
+      case 0: {  // copy, then mutate the copy: storage must not be shared
+        Ledger copy(ledger);
+        expect_matches_reference(copy, ref, kCap);
+        copy.add_real(j, 1);
+        EXPECT_EQ(ledger.d(j), ref.d[j]);
+        break;
+      }
+      case 1: {  // move out and back in
+        Ledger moved(std::move(ledger));
+        expect_matches_reference(moved, ref, kCap);
+        EXPECT_EQ(ledger.active_classes().size(), 0u);
+        ledger.check(kCap);
+        ledger = std::move(moved);
+        break;
+      }
+      case 2: {  // copy-assign over a ledger in the other storage state
+        Ledger target(kClasses);
+        for (std::uint32_t c = 0; c < kClasses; c += (after > kInline ? 4 : 1))
+          target.add_real(c, 1);
+        target = ledger;
+        expect_matches_reference(target, ref, kCap);
+        ledger = std::move(target);
+        break;
+      }
+      default:
+        break;
+    }
+    expect_matches_reference(ledger, ref, kCap);
+  }
+  EXPECT_GT(spills, 50);
+  EXPECT_GT(unspills, 50);
+}
+
+TEST(Ledger, MemoryBytesCountsObjectAndSpilledBlock) {
+  Ledger ledger(64);
+  EXPECT_EQ(ledger.memory_bytes(), sizeof(Ledger));
+  for (std::uint32_t j = 0; j < Ledger::kInlineClasses; ++j)
+    ledger.add_real(j, 1);
+  EXPECT_EQ(ledger.memory_bytes(), sizeof(Ledger));  // still inline
+  ledger.add_real(Ledger::kInlineClasses, 1);
+  EXPECT_GT(ledger.memory_bytes(), sizeof(Ledger));  // spilled
+}
+
+// A checkpoint of a system whose ledgers spilled past the inline
+// capacity restores them exactly, and the restored system continues
+// bit-identically.
+TEST(LedgerProperty, SpilledLedgersRoundTripThroughCheckpoint) {
+  BalancerConfig cfg;
+  cfg.f = 1.1;
+  cfg.delta = 7;
+  cfg.borrow_cap = 4;
+  System original(16, cfg, 99);
+  original.run(Workload::uniform(16, 60, 0.7, 0.4));
+  std::size_t spilled = 0;
+  for (std::uint32_t p = 0; p < 16; ++p)
+    spilled += original.processor(p).ledger.active_classes().size() >
+               Ledger::kInlineClasses;
+  ASSERT_GT(spilled, 0u) << "workload no longer spills any ledger";
+
+  std::stringstream buffer;
+  save_checkpoint(original, buffer);
+  System restored = load_checkpoint(buffer);
+  for (std::uint32_t p = 0; p < 16; ++p) {
+    const Ledger& a = original.processor(p).ledger;
+    const Ledger& b = restored.processor(p).ledger;
+    EXPECT_EQ(to_vector(a.active_classes()), to_vector(b.active_classes()));
+    EXPECT_EQ(to_vector(a.active_d()), to_vector(b.active_d()));
+    EXPECT_EQ(to_vector(a.active_b()), to_vector(b.active_b()));
+    EXPECT_EQ(to_vector(a.marked_classes()), to_vector(b.marked_classes()));
+    EXPECT_EQ(a.real_load(), b.real_load());
+    EXPECT_EQ(a.borrowed_total(), b.borrowed_total());
+  }
+  const Workload more = Workload::uniform(16, 40, 0.5, 0.6);
+  original.run(more);
+  restored.run(more);
+  EXPECT_EQ(restored.loads(), original.loads());
+  EXPECT_EQ(restored.rng().state(), original.rng().state());
+  restored.check_invariants();
 }
 
 }  // namespace

@@ -6,9 +6,12 @@
 // every figure.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/one_processor.hpp"
 #include "core/system.hpp"
 #include "support/rng.hpp"
+#include "workload/serving.hpp"
 
 namespace dlb {
 namespace {
@@ -43,6 +46,56 @@ TEST(GoldenRegression, PaperWorkloadRun) {
   EXPECT_EQ(sys.loads(), (std::vector<std::int64_t>{13, 13, 12, 12, 12, 12,
                                                     14, 12, 13, 13, 12, 12}));
   EXPECT_EQ(sys.balance_operations(), 1610u);
+}
+
+// The serving schedule (Zipf traffic, diurnal envelope, flash crowd) at
+// a size where the borrow path dominates and some ledgers hold more
+// classes than fit inline, so the fixture pins the ledger storage across
+// its spill boundary as well as the schedule and the sampling loop.
+TEST(GoldenRegression, ServingWorkloadRun) {
+  BalancerConfig cfg;
+  cfg.f = 1.1;
+  cfg.delta = 2;
+  cfg.borrow_cap = 4;
+  System sys(512, cfg, 4242);
+  sys.set_post_step_check(true);
+  sys.run(ServingWorkload::build(512, 200, ServingParams{}, 31));
+  const std::vector<std::int64_t> expected_loads = {
+      0, 1, 0, 1, 0, 0, 2, 1, 1, 1, 0, 0, 2, 3, 0, 2, 0, 0, 0, 0,
+      0, 0, 0, 2, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0,
+      0, 0, 0, 1, 2, 0, 1, 1, 0, 0, 0, 3, 2, 0, 2, 1, 0, 0, 0, 3,
+      0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 2, 0, 0, 1, 1,
+      0, 0, 0, 0, 0, 1, 2, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0,
+      1, 0, 3, 3, 0, 2, 0, 0, 0, 2, 1, 1, 0, 0, 0, 1, 0, 0, 0, 3,
+      1, 3, 2, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 4, 0, 2,
+      1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 3, 2, 0, 0,
+      0, 1, 1, 0, 2, 0, 0, 0, 0, 0, 4, 2, 2, 0, 0, 0, 2, 0, 0, 0,
+      0, 0, 1, 0, 0, 0, 1, 1, 4, 1, 3, 1, 2, 0, 0, 3, 0, 0, 0, 0,
+      0, 0, 0, 0, 2, 2, 2, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0,
+      0, 1, 1, 3, 1, 1, 0, 0, 0, 4, 0, 0, 0, 1, 1, 1, 0, 0, 4, 2,
+      2, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 2, 0, 1, 0, 0, 0, 1, 0,
+      0, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 1, 0, 0, 0, 0, 0, 2, 0, 0,
+      0, 0, 1, 1, 1, 0, 1, 2, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1,
+      0, 4, 0, 0, 0, 0, 2, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 0, 2,
+      0, 0, 2, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 3, 0, 1, 0, 3, 0, 0,
+      0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 0, 1, 2, 3, 1, 3,
+      1, 0, 1, 0, 2, 0, 0, 3, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+      2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 3, 0, 1, 0, 0, 0, 0, 0,
+      0, 1, 0, 1, 1, 0, 2, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 1, 0, 0,
+      2, 2, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 1, 0, 0, 1, 1, 0, 0,
+      0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 3, 4, 3, 0, 0, 0, 1, 0,
+      0, 1, 0, 2, 0, 0, 0, 1, 0, 0, 0, 2, 0, 2, 1, 0, 0, 1, 0, 1,
+      0, 2, 1, 0, 1, 0, 3, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0,
+      0, 0, 0, 1, 1, 0, 2, 0, 0, 0, 0, 0};
+  EXPECT_EQ(sys.loads(), expected_loads);
+  EXPECT_EQ(sys.balance_operations(), 4594u);
+  EXPECT_EQ(sys.total_generated(), 44152u);
+  EXPECT_EQ(sys.total_consumed(), 43862u);
+  EXPECT_EQ(sys.rng().state(),
+            (std::array<std::uint64_t, 4>{11602168102830354761ull,
+                                          5145424524824495945ull,
+                                          9246323656953548078ull,
+                                          4700550208825490964ull}));
 }
 
 TEST(GoldenRegression, OneProcessorModelRun) {

@@ -47,11 +47,11 @@ TEST(ActiveSchedule, BackToBackPhasesHandOff) {
   ActiveSchedule sched(wl);
   const auto& at0 = sched.advance(0);
   ASSERT_EQ(at0.size(), 1u);
-  EXPECT_DOUBLE_EQ(at0[0].phase->generate_prob, 0.3);
+  EXPECT_DOUBLE_EQ(at0[0].generate_prob, 0.3);
   sched.advance(1);
   const auto& at2 = sched.advance(2);
   ASSERT_EQ(at2.size(), 1u);
-  EXPECT_DOUBLE_EQ(at2[0].phase->generate_prob, 0.9);
+  EXPECT_DOUBLE_EQ(at2[0].generate_prob, 0.9);
 }
 
 TEST(ActiveSchedule, SilentPhasesAreElided) {
@@ -108,8 +108,8 @@ TEST(ActiveSchedule, BatchedSamplingMatchesDenseSampling) {
       std::vector<std::pair<std::uint32_t, WorkEvent>> batched;
       for (const auto& e : sched.advance(t)) {
         WorkEvent ev;
-        ev.generate = batched_rng.bernoulli(e.phase->generate_prob);
-        ev.consume = batched_rng.bernoulli(e.phase->consume_prob);
+        ev.generate = batched_rng.bernoulli(e.generate_prob);
+        ev.consume = batched_rng.bernoulli(e.consume_prob);
         if (ev.generate || ev.consume) batched.emplace_back(e.proc, ev);
       }
       ASSERT_EQ(dense.size(), batched.size()) << wl.name() << " t=" << t;
@@ -151,6 +151,79 @@ TEST(ActiveSchedule, StridedSchedulesPartitionTheFullSchedule) {
         ASSERT_EQ(merged, active_ids(full.advance(t)))
             << wl.name() << " stride=" << stride << " t=" << t;
       }
+    }
+  }
+}
+
+// Random disjoint phase lists: back-to-back hand-offs, gaps, silent and
+// half-silent phases, and phases running past the horizon (up to
+// UINT32_MAX, the open-ended case).
+Workload random_phase_workload(Rng& rng) {
+  const auto n = 1 + static_cast<std::uint32_t>(rng.below(24));
+  const auto horizon = 1 + static_cast<std::uint32_t>(rng.below(60));
+  const double probs[] = {0.0, 0.25, 0.5, 1.0};
+  std::vector<std::vector<Phase>> phases(n);
+  for (auto& list : phases) {
+    std::uint64_t next = rng.below(8);
+    while (next < horizon + 8 && rng.below(5) != 0) {
+      Phase ph;
+      ph.start = static_cast<std::uint32_t>(next);
+      ph.end = rng.below(10) == 0
+                   ? UINT32_MAX
+                   : static_cast<std::uint32_t>(next + rng.below(12));
+      ph.generate_prob = probs[rng.below(4)];
+      ph.consume_prob = probs[rng.below(4)];
+      list.push_back(ph);
+      if (ph.end == UINT32_MAX) break;
+      next = std::uint64_t{ph.end} + 1 + rng.below(3);  // gap 0 = hand-off
+    }
+  }
+  return Workload(n, horizon, std::move(phases), "random");
+}
+
+// The compile's bucket pass against the obvious reference: expand every
+// non-silent phase of the processor set into its (step, processor)
+// entries, comparison-sort them, and slice by step.
+TEST(ActiveSchedule, BucketCompileMatchesComparisonSortReference) {
+  Rng rng(0x5c4ed);
+  for (int round = 0; round < 200; ++round) {
+    const Workload wl = random_phase_workload(rng);
+    const auto stride = 1 + static_cast<std::uint32_t>(rng.below(4));
+    const auto offset = static_cast<std::uint32_t>(rng.below(stride));
+    struct Cell {
+      std::uint32_t step;
+      ActiveSchedule::Entry entry;
+    };
+    std::vector<Cell> cells;
+    for (std::uint32_t p = offset; p < wl.processors(); p += stride)
+      for (const Phase& ph : wl.phases_of(p)) {
+        if (ph.generate_prob == 0.0 && ph.consume_prob == 0.0) continue;
+        for (std::uint64_t t = ph.start;
+             t <= ph.end && t < wl.horizon(); ++t)
+          cells.push_back(Cell{static_cast<std::uint32_t>(t),
+                               {p, ph.generate_prob, ph.consume_prob}});
+      }
+    std::sort(cells.begin(), cells.end(), [](const Cell& a, const Cell& b) {
+      return a.step != b.step ? a.step < b.step
+                              : a.entry.proc < b.entry.proc;
+    });
+    ActiveSchedule sched = stride == 1
+                               ? ActiveSchedule(wl)
+                               : ActiveSchedule::strided(wl, offset, stride);
+    for (int pass = 0; pass < 2; ++pass) {  // a reset() pass must agree
+      std::size_t c = 0;
+      for (std::uint32_t t = 0; t < wl.horizon(); ++t) {
+        const auto& got = sched.advance(t);
+        std::size_t i = 0;
+        for (; c < cells.size() && cells[c].step == t; ++c, ++i) {
+          ASSERT_LT(i, got.size()) << "round " << round << " t=" << t;
+          EXPECT_EQ(got[i].proc, cells[c].entry.proc);
+          EXPECT_EQ(got[i].generate_prob, cells[c].entry.generate_prob);
+          EXPECT_EQ(got[i].consume_prob, cells[c].entry.consume_prob);
+        }
+        ASSERT_EQ(got.size(), i) << "round " << round << " t=" << t;
+      }
+      sched.reset();
     }
   }
 }
