@@ -91,8 +91,7 @@ void Ledger::copy_entries(const Ledger& other) {
   borrowed_ = other.borrowed_;
 }
 
-void Ledger::reserve_slots(std::uint32_t slots) {
-  if (slots <= capacity_) return;
+void Ledger::grow_slots(std::uint32_t slots) {
   // Doubling, but never past the class count (no ledger holds more).
   const std::uint32_t cap = std::max(slots, std::min(2 * capacity_, classes_));
   auto* block = static_cast<std::byte*>(::operator new(cap * kSlotBytes));
@@ -334,12 +333,13 @@ void Ledger::apply_dealt(const std::uint32_t* cls, std::size_t k,
 
 void Ledger::replace_dealt(const std::uint32_t* cls, std::size_t k,
                            const std::int64_t* d_vals,
-                           const std::int64_t* b_vals) {
+                           const std::int64_t* b_vals, std::size_t stride) {
   DLB_REQUIRE(cls != nullptr || k == 0, "null class list");
-  // Pass 1 (pure reads): validate the dealt columns, verify the superset
+  DLB_REQUIRE(stride >= 1, "write-back stride must be positive");
+  // Pass 1 (pure reads): validate the dealt row, verify the superset
   // precondition by walking the old active list alongside cls, and sum the
   // new totals.  Because cls covers every active class, the post state is
-  // determined by the dealt arrays alone: real_/borrowed_ are plain sums
+  // determined by the dealt values alone: real_/borrowed_ are plain sums
   // and no old entry survives outside cls.
   const std::uint32_t* act = cls_data();
   std::size_t ai = 0;
@@ -349,37 +349,49 @@ void Ledger::replace_dealt(const std::uint32_t* cls, std::size_t k,
   std::uint32_t live = 0;
   for (std::size_t c = 0; c < k; ++c) {
     const std::uint32_t j = cls[c];
+    const std::int64_t dv = d_vals[c * stride];
+    const std::int64_t bv = b_vals[c * stride];
     DLB_REQUIRE(j < classes_, "load class out of range");
     DLB_REQUIRE(c == 0 || j > prev, "class list must be strictly ascending");
     prev = j;
-    DLB_REQUIRE(d_vals[c] >= 0, "negative real count");
-    DLB_REQUIRE(b_vals[c] == 0 || b_vals[c] == 1,
-                "marker counts are 0 or 1 (paper, §4)");
-    if (ai < size_ && act[ai] == j) ++ai;
-    real += d_vals[c];
-    borrowed += b_vals[c];
-    if (d_vals[c] > 0 || b_vals[c] > 0) ++live;
+    DLB_REQUIRE(dv >= 0, "negative real count");
+    DLB_REQUIRE(bv == 0 || bv == 1, "marker counts are 0 or 1 (paper, §4)");
+    // Branch-free bookkeeping: which columns are live or match an old
+    // entry is data-dependent, so counting them with branches would
+    // mispredict on most columns.
+    if (ai < size_) ai += act[ai] == j ? 1 : 0;
+    real += dv;
+    borrowed += bv;
+    live += (dv | bv) != 0 ? 1 : 0;
   }
   DLB_REQUIRE(ai == size_,
               "replace_dealt needs cls to cover every active class");
   // Pass 2: rebuild the slots in place — the old contents are fully
-  // superseded, so no merge is needed.
-  size_ = 0;
+  // superseded, so no merge is needed.  Every column is written at the
+  // next free slot, which advances only past live ones; the loop stops
+  // at the last live column, so the write index stays below live <=
+  // capacity_.
+  size_ = 0;  // nothing to carry over if the block grows
   marked_size_ = 0;
   reserve_slots(live);
   std::uint32_t* out_cls = cls_data();
   std::uint32_t* marked = marked_data();
   std::int64_t* d = d_data();
   std::int64_t* b = b_data();
-  for (std::size_t c = 0; c < k; ++c) {
-    if (d_vals[c] > 0 || b_vals[c] > 0) {
-      out_cls[size_] = cls[c];
-      d[size_] = d_vals[c];
-      b[size_] = b_vals[c];
-      ++size_;
-      if (b_vals[c] > 0) marked[marked_size_++] = cls[c];
-    }
+  std::uint32_t size = 0;
+  std::uint32_t marked_size = 0;
+  for (std::size_t c = 0; size < live; ++c) {
+    const std::int64_t dv = d_vals[c * stride];
+    const std::int64_t bv = b_vals[c * stride];
+    out_cls[size] = cls[c];
+    d[size] = dv;
+    b[size] = bv;
+    marked[marked_size] = cls[c];
+    size += (dv | bv) != 0 ? 1 : 0;
+    marked_size += static_cast<std::uint32_t>(bv);
   }
+  size_ = size;
+  marked_size_ = marked_size;
   real_ = real;
   borrowed_ = borrowed;
 }

@@ -146,15 +146,21 @@ class Ledger {
   void apply_dealt(const std::uint32_t* cls, std::size_t k,
                    const std::int64_t* d_vals, const std::int64_t* b_vals);
 
-  /// apply_dealt for the balancing hot path, where `cls` covers every
-  /// currently active class (the deal spans the participants' class
-  /// union, a superset of each one's active list — verified here).  The
-  /// post state then depends on the dealt arrays alone: totals are plain
-  /// sums and the slots rebuild in place with no merge against the old
-  /// storage.  O(A + k) like apply_dealt but with a much smaller
-  /// constant — this is the hottest write path in the simulator.
+  /// Write-back of one participant's row of a balancing deal: assigns
+  /// d[cls[c]] = d_vals[c * stride] and b[cls[c]] = b_vals[c * stride]
+  /// for c in [0, k) — the strided read takes the row straight out of the
+  /// deal's column-major scratch.  `cls` (sorted ascending, no
+  /// duplicates) must cover every currently active class: the deal spans
+  /// the participants' class union, a superset of each one's active
+  /// list, which is verified here.  The post state then depends on the
+  /// dealt values alone: totals are plain sums and the slots rebuild in
+  /// place with no merge against the old storage.  Every argument is
+  /// validated before the first write, so a rejected call leaves the
+  /// ledger untouched.  O(A + k) — this is the hottest write path in the
+  /// simulator.
   void replace_dealt(const std::uint32_t* cls, std::size_t k,
-                     const std::int64_t* d_vals, const std::int64_t* b_vals);
+                     const std::int64_t* d_vals, const std::int64_t* b_vals,
+                     std::size_t stride);
 
   /// Wholesale replacement from dense vectors (tests, v1 checkpoints).
   /// Vectors must have size classes(); entries must be non-negative.
@@ -231,8 +237,12 @@ class Ledger {
   }
 
   // Grows the block to at least `slots` slots (doubling), keeping the
-  // contents.  Never shrinks.
-  void reserve_slots(std::uint32_t slots);
+  // contents.  Never shrinks.  The capacity test is inline: the hot
+  // write paths call this on every write and almost never grow.
+  void reserve_slots(std::uint32_t slots) {
+    if (slots > capacity_) grow_slots(slots);
+  }
+  void grow_slots(std::uint32_t slots);
   // Makes this ledger an empty inline one (no heap block).
   void reset_inline();
   // Copies `other`'s entries and totals into this ledger's block, which

@@ -15,10 +15,11 @@
 // Two entry points share that dealing logic:
 //   * the dense overload takes an m x n matrix over every load class —
 //     the reference implementation, kept for tests and small callers;
-//   * the compact overload takes a flat row-major m x k matrix whose k
-//     columns are an arbitrary (ascending) subset of the classes — the
-//     balancing hot path passes only the classes actually populated by
-//     some participant.  A column that is all zero never advances the
+//   * the compact overload takes a flat column-major k x m matrix (the m
+//     counts of one class are contiguous) whose k columns are an
+//     arbitrary (ascending) subset of the classes — the balancing hot
+//     path passes only the classes actually populated by some
+//     participant.  A column that is all zero never advances the
 //     circulating pointer (its pool and remainder are zero), so dealing
 //     over the nonzero subset is bit-identical to dealing over all n
 //     classes.
@@ -45,12 +46,12 @@ struct SnakeOptions {
   const std::vector<std::size_t>* excluded_participant_per_class = nullptr;
 };
 
-/// Receives the per-column packet flows of a compact deal: after each
+/// Receives the per-pair packet flows of a compact deal: after each
 /// column is dealt, its surplus rows are greedily matched (both sides in
 /// ascending row order) against its deficit rows and each resulting flow
-/// is reported once.  This is the delta accounting that replaced the
-/// before/after matrix diff (count_moves): the flows are computed during
-/// the deal, so callers need no pre-deal copy of the matrix.
+/// is reported once.  Only callers that attribute traffic to processor
+/// pairs (a migration recorder, hop-weighted costs) attach one; the
+/// aggregate accounting (row deltas, gross moves) needs no sink.
 class SnakeFlowSink {
  public:
   virtual ~SnakeFlowSink() = default;
@@ -58,26 +59,6 @@ class SnakeFlowSink {
   /// row `from` to participant row `to`.
   virtual void on_flow(std::size_t col, std::size_t from, std::size_t to,
                        std::int64_t amount) = 0;
-
-  /// When false, the kernel skips the greedy surplus/deficit matching and
-  /// reports each changed column once through on_column_moved instead of
-  /// per-pair on_flow calls.  Sinks that only aggregate totals (no
-  /// per-pair attribution: no migration recorder, no hop-weighted
-  /// topology) opt out of the matching this way — the aggregate numbers
-  /// are identical because every matched flow decomposes into the same
-  /// per-row deltas.
-  virtual bool wants_pair_flows() const { return true; }
-
-  /// Aggregate report for one dealt column (only when wants_pair_flows()
-  /// is false and something moved): `moved` (> 0) is the column's total
-  /// surplus = sum of the matched-flow amounts; delta_per_row[p] is the
-  /// signed count change of participant row p (sums to zero).
-  virtual void on_column_moved(std::size_t col, std::int64_t moved,
-                               const std::int64_t* delta_per_row) {
-    (void)col;
-    (void)moved;
-    (void)delta_per_row;
-  }
 };
 
 /// Options for the compact overload.
@@ -89,8 +70,22 @@ struct SnakeCompactOptions {
   /// non-null.
   const std::size_t* excluded_row_per_column = nullptr;
 
-  /// Optional flow observer (delta accounting during the deal).
+  /// When non-null (length = rows), row_delta[p] accumulates the signed
+  /// change of participant row p's total over the dealt columns.
+  std::int64_t* row_delta = nullptr;
+
+  /// Optional per-pair flow observer.
   SnakeFlowSink* flows = nullptr;
+};
+
+/// Outcome of a compact deal.
+struct SnakeDeal {
+  /// Final dealing pointer (the start of a chained deal, e.g. borrow
+  /// markers after real packets, so their combined deal stays balanced).
+  std::size_t ptr = 0;
+  /// Gross moves: the summed surplus every column dealt away (equal to
+  /// the sum of the reported pair flows).
+  std::uint64_t moved = 0;
 };
 
 /// Redistributes counts[p][j] (participant p, class j) in place subject to
@@ -101,18 +96,14 @@ struct SnakeCompactOptions {
 std::size_t snake_redistribute(std::vector<std::vector<std::int64_t>>& counts,
                                const SnakeOptions& options = {});
 
-/// Compact overload: `counts` is a flat row-major `rows` x `columns`
-/// scratch matrix whose columns are the active-class subset.  Deals in
-/// place, reports flows through options.flows (if set), and returns the
-/// final dealing pointer.  Bit-identical to the dense overload restricted
-/// to the nonzero columns (see the header comment).
-std::size_t snake_redistribute(std::int64_t* counts, std::size_t rows,
-                               std::size_t columns,
-                               const SnakeCompactOptions& options);
-
-/// Pre-sizes the calling thread's flow-accounting scratch for deals with
-/// up to `rows` participants, so the thread's first flow-reporting deal
-/// allocates nothing (DESIGN.md §11).  Never shrinks.
-void snake_warm_thread_scratch(std::size_t rows);
+/// Compact overload: `counts` is a flat column-major `columns` x `rows`
+/// matrix — the `rows` counts of column c are counts[c * rows + p] — whose
+/// columns are the active-class subset.  Deals each column in place in one
+/// pass, adding up row deltas and gross moves as it goes, and reports pair
+/// flows through options.flows (if set).  Bit-identical to the dense
+/// overload restricted to the nonzero columns (see the header comment).
+SnakeDeal snake_redistribute(std::int64_t* counts, std::size_t rows,
+                             std::size_t columns,
+                             const SnakeCompactOptions& options);
 
 }  // namespace dlb

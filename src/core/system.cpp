@@ -4,8 +4,8 @@
 #include <span>
 #include <utility>
 
+#include "core/balance.hpp"
 #include "core/scratch.hpp"
-#include "core/snake.hpp"
 #include "obs/alloc.hpp"
 #include "obs/timer.hpp"
 #include "support/check.hpp"
@@ -102,7 +102,7 @@ void System::run(const Workload& workload) {
   // reference loop draws all of a step's workload randomness before any
   // balancing randomness; interleaving would reorder the RNG stream.
   std::vector<std::pair<std::uint32_t, WorkEvent>> events;
-  // Zero-alloc opt-in: pre-size to the bound (one event per active
+  // Zero-alloc opt-in: pre-size to the bound (one slot per active
   // processor) so the occupancy high-water mark never grows the vector
   // mid-run.  Gated — the O(n) reserve touches fresh pages, a real cost
   // for short runs on large systems.
@@ -118,15 +118,21 @@ void System::run(const Workload& workload) {
     obs::ScopedTimer step_span(nullptr, trace_, "step", "step", 0, t);
     const std::vector<ActiveSchedule::Entry>& entries = schedule.advance(t);
     note_active(entries.size());
-    events.clear();
+    // Branch-free compaction: every entry is written, and the output index
+    // advances only past the ones that drew an event — no data-dependent
+    // branch on two coin flips per processor.
+    if (events.size() < entries.size()) events.resize(entries.size());
+    std::size_t drawn = 0;
     for (const ActiveSchedule::Entry& e : entries) {
       WorkEvent ev;
       ev.generate = rng_.bernoulli(e.generate_prob);
       ev.consume = rng_.bernoulli(e.consume_prob);
-      if (ev.generate || ev.consume) events.emplace_back(e.proc, ev);
+      events[drawn] = {e.proc, ev};
+      drawn += static_cast<std::size_t>(ev.generate | ev.consume);
     }
     StepCounters counters;
-    for (const auto& [p, ev] : events) {
+    for (std::size_t i = 0; i < drawn; ++i) {
+      const auto& [p, ev] = events[i];
       if (ev.generate) generate(p, rng_, counters);
       if (ev.consume) consume(p, rng_, counters);
     }
@@ -454,105 +460,10 @@ void System::maybe_balance(std::uint32_t p, Rng& rng) {
 
 namespace {
 
-// Streams the compact deal's per-column flows into the cost ledger and
-// recorder, and accumulates the per-row load deltas for the net-flow
-// accounting — the replacement for diffing a full before_d matrix copy.
-class BalanceFlowSink final : public SnakeFlowSink {
- public:
-  BalanceFlowSink(CostLedger& costs, Recorder* recorder,
-                  const std::vector<ProcId>& participants,
-                  std::vector<std::int64_t>& row_delta)
-      : costs_(costs),
-        recorder_(recorder),
-        participants_(participants),
-        row_delta_(row_delta) {}
-
-  void on_flow(std::size_t col, std::size_t from, std::size_t to,
-               std::int64_t amount) override {
-    (void)col;
-    costs_.record_migration(participants_[from], participants_[to],
-                            static_cast<std::uint64_t>(amount));
-    if (recorder_ != nullptr)
-      recorder_->on_migration(participants_[from], participants_[to],
-                              static_cast<std::uint64_t>(amount));
-    moves_ += static_cast<std::uint64_t>(amount);
-    row_delta_[from] -= amount;
-    row_delta_[to] += amount;
-  }
-
-  // Pair attribution is only needed for hop weighting and the migration
-  // recorder; without either, the kernel reports whole columns at once
-  // (same totals, far fewer virtual calls and no matching pass).
-  bool wants_pair_flows() const override {
-    return recorder_ != nullptr || costs_.hop_weighted();
-  }
-
-  void on_column_moved(std::size_t col, std::int64_t moved,
-                       const std::int64_t* delta_per_row) override {
-    (void)col;
-    moves_ += static_cast<std::uint64_t>(moved);
-    bulk_moves_ += static_cast<std::uint64_t>(moved);
-    for (std::size_t r = 0; r < row_delta_.size(); ++r)
-      row_delta_[r] += delta_per_row[r];
-  }
-
-  /// Flushes aggregate-mode gross traffic into the cost ledger (no-op in
-  /// pair mode, where on_flow recorded each amount already).
-  void flush() {
-    if (bulk_moves_ > 0) {
-      costs_.record_migration_bulk(bulk_moves_);
-      bulk_moves_ = 0;
-    }
-  }
-
-  std::uint64_t moves() const { return moves_; }
-
- private:
-  CostLedger& costs_;
-  Recorder* recorder_;
-  const std::vector<ProcId>& participants_;
-  std::vector<std::int64_t>& row_delta_;
-  std::uint64_t moves_ = 0;
-  std::uint64_t bulk_moves_ = 0;
-};
-
-// Scratch buffers reused across balancing operations.  A balancing
-// operation works on compact row-major (delta+1) x k matrices whose k
-// columns are the union of the participants' active classes, making its
-// cost O((delta+1) * k) rather than O((delta+1) * n).  One warm buffer
-// set per thread: the sequential drivers use one, the async shards one
-// each (their balancing operations run concurrently).  balance_deal
-// never re-enters itself — recursion happens only through the follow-up
-// cancels outside it — so a single per-thread set suffices.
-struct BalanceScratch {
-  std::vector<ProcId> participants;
-  std::vector<std::int64_t> d;
-  std::vector<std::int64_t> b;
-  std::vector<std::uint32_t> union_classes;
-  std::vector<std::uint32_t> union_scratch;
-  std::vector<std::size_t> excluded_cols;
-  std::vector<std::int64_t> row_delta;
-
-  // Reserves every buffer to its worst case for an m-participant deal
-  // over n classes: the union holds at most n classes, its merge buffer
-  // peaks at the two inputs' combined size (≤ 2n), and the matrices at
-  // m x n.  Growing to the bound up front (instead of tracking the
-  // occupancy high-water mark) is what makes a deal allocation-free for
-  // the rest of the run even while class occupancy is still rising —
-  // the zero-alloc opt-in (reserve_classes) pays it once per thread.
-  void reserve_bounds(std::size_t m, std::size_t n) {
-    participants.reserve(m);
-    d.reserve(m * n);
-    b.reserve(m * n);
-    // Both 2n, not n: the merge swaps the two buffers, so either one can
-    // end up holding the (≤ 2n) pre-dedup merge output on a later call.
-    union_classes.reserve(2 * n);
-    union_scratch.reserve(2 * n);
-    excluded_cols.reserve(n);
-    row_delta.reserve(m);
-  }
-};
-
+// One warm buffer set per thread: the sequential drivers use one, the
+// async shards one each (their balancing operations run concurrently).
+// balance_deal never re-enters itself — recursion happens only through
+// the follow-up cancels outside it — so a single per-thread set suffices.
 BalanceScratch& balance_scratch() {
   thread_local BalanceScratch scratch;
   return scratch;
@@ -564,7 +475,6 @@ void System::warm_thread_scratch() {
   if (config_.reserve_classes == 0) return;
   const std::size_t m = static_cast<std::size_t>(config_.delta) + 1;
   balance_scratch().reserve_bounds(m, processors());
-  snake_warm_thread_scratch(m);
   // Depth 8 covers every balance → cancel → re-balance chain seen in
   // practice; a deeper chain merely re-warms lazily at that depth.
   detail::warm_scratch_vec_pool(8, config_.delta);
@@ -590,139 +500,45 @@ void System::balance_deal(std::uint32_t initiator,
     scratch.reserve_bounds(partners.size() + 1, n);
   std::vector<ProcId>& participants = scratch.participants;
   participants.clear();
-  participants.reserve(partners.size() + 1);
+  scratch.ledgers.clear();
   participants.push_back(initiator);
+  scratch.ledgers.push_back(&procs_[initiator].ledger);
   for (ProcId q : partners) {
     DLB_REQUIRE(q < n && q != initiator, "invalid balancing partner");
     participants.push_back(q);
-  }
-  const std::size_t m = participants.size();
-  std::vector<std::uint32_t>& union_classes = scratch.union_classes;
-  std::vector<std::uint32_t>& union_scratch = scratch.union_scratch;
-  std::vector<std::int64_t>& scratch_d = scratch.d;
-  std::vector<std::int64_t>& scratch_b = scratch.b;
-
-  // Union of the participants' active classes, ascending.  Classes
-  // outside the union are zero in every participant's ledger: dealing
-  // them would move nothing and never advance the snake pointer, so
-  // restricting the deal to the union is bit-identical to dealing over
-  // all n classes.
-  union_classes.clear();
-  for (std::size_t r = 0; r < m; ++r) {
-    const Ledger& ledger = procs_[participants[r]].ledger;
-    const std::span<const std::uint32_t> active = ledger.active_classes();
-    // The gather below streams each participant's count vectors; their
-    // first lines are cold (random partners), so start the loads now and
-    // let the union merge hide the latency.
-    __builtin_prefetch(ledger.active_d().data());
-    __builtin_prefetch(ledger.active_b().data());
-    if (r == 0) {
-      union_classes.assign(active.begin(), active.end());
-      continue;
-    }
-    // Each active list is already sorted, so the union is a linear merge
-    // into a pre-sized buffer (no per-element push_back bookkeeping).
-    union_scratch.resize(union_classes.size() + active.size());
-    const auto merged_end =
-        std::set_union(union_classes.begin(), union_classes.end(),
-                       active.begin(), active.end(), union_scratch.begin());
-    union_scratch.resize(
-        static_cast<std::size_t>(merged_end - union_scratch.begin()));
-    union_classes.swap(union_scratch);
-  }
-  const std::size_t k = union_classes.size();
-
-  // Gather the participants' ledgers into the compact scratch matrices.
-  // Each participant's compact storage is copied in one sequential pass
-  // over its parallel count vectors — the rest of the scratch row is
-  // zero-filled sequentially; no scattered loads anywhere.
-  bool any_markers = false;
-  for (std::size_t r = 0; r < m && !any_markers; ++r)
-    any_markers = procs_[participants[r]].ledger.borrowed_total() > 0;
-  scratch_d.assign(m * k, 0);
-  scratch_b.assign(m * k, 0);
-  for (std::size_t r = 0; r < m; ++r) {
-    const Ledger& ledger = procs_[participants[r]].ledger;
-    const std::span<const std::uint32_t> active = ledger.active_classes();
-    const std::span<const std::int64_t> d_counts = ledger.active_d();
-    const std::span<const std::int64_t> b_counts = ledger.active_b();
-    std::size_t c = 0;
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      // active[i] is in the union by construction.
-      while (union_classes[c] < active[i]) ++c;
-      scratch_d[r * k + c] = d_counts[i];
-      // Without markers anywhere, every b count is zero — the zero fill
-      // above already wrote the row.
-      if (any_markers) scratch_b[r * k + c] = b_counts[i];
-    }
+    scratch.ledgers.push_back(&procs_[q].ledger);
   }
 
+  DealOptions options;
+  options.start = static_cast<std::size_t>(rng.below(participants.size()));
+  options.analysis_mode = config_.analysis_mode;
+  options.recorder = recorder_;
+  const std::uint64_t moved =
+      deal_participants(scratch, costs, options).moved;
 
-  // [D7] analysis mode: a non-initiating participant's own class is dealt
-  // only among the other participants.
-  SnakeCompactOptions opts;
-  opts.start = static_cast<std::size_t>(rng.below(m));
-  if (config_.analysis_mode) {
-    scratch.excluded_cols.assign(k, static_cast<std::size_t>(-1));
-    for (std::size_t r = 0; r < m; ++r) {
-      if (participants[r] == initiator) continue;
-      const auto it = std::lower_bound(union_classes.begin(),
-                                       union_classes.end(), participants[r]);
-      if (it != union_classes.end() && *it == participants[r])
-        scratch.excluded_cols[static_cast<std::size_t>(
-            it - union_classes.begin())] = r;
-    }
-    opts.excluded_row_per_column = scratch.excluded_cols.data();
-  }
-
-  scratch.row_delta.assign(m, 0);
-  BalanceFlowSink flows(costs, recorder_, participants, scratch.row_delta);
-  opts.flows = &flows;
-  SnakeCompactOptions marker_opts = opts;
-  marker_opts.flows = nullptr;  // marker moves are not migration traffic
-  marker_opts.start = snake_redistribute(scratch_d.data(), m, k, opts);
-  flows.flush();
-  // Marker deal: skipped when no participant holds a marker — the matrix
-  // is all zero, so the deal would move nothing, report no flows and
-  // leave the pointer untouched (its return value is discarded anyway).
-  if (any_markers) snake_redistribute(scratch_b.data(), m, k, marker_opts);
-
-  // Net physical flow: positive row-total changes (what a label-free
-  // implementation would actually ship), accumulated from the flows.
-  std::uint64_t net_moves = 0;
-  for (std::size_t r = 0; r < m; ++r)
-    if (scratch.row_delta[r] > 0)
-      net_moves += static_cast<std::uint64_t>(scratch.row_delta[r]);
-  costs.record_net_migration(net_moves);
-
-  // Write back; every participant's local clock ticks and its trigger
-  // baseline resets (§4: an operation counts as delta+1 independent
-  // operations initiated by each participant).
-  for (std::size_t r = 0; r < m; ++r) {
-    ProcessorState& st = procs_[participants[r]];
-    // The union covers every participant's active classes by
-    // construction, so the cheap rebuild path applies (no merge).
-    st.ledger.replace_dealt(union_classes.data(), k,
-                            scratch_d.data() + r * k,
-                            scratch_b.data() + r * k);
-    st.l_old = st.ledger.d(participants[r]);
+  // Every participant's local clock ticks and its trigger baseline resets
+  // (§4: an operation counts as delta+1 independent operations initiated
+  // by each participant).
+  for (ProcId q : participants) {
+    ProcessorState& st = procs_[q];
+    st.l_old = st.ledger.d(q);
     ++st.local_time;
-    touch_load(participants[r]);
+    touch_load(q);
     // [D6] due: the deal left this participant holding markers of its
     // own class.  The sequential wrapper cancels them right here; the
     // async engine routes a cancel to the participant's owner shard.
-    if (cancel_due != nullptr && st.ledger.b(participants[r]) > 0)
-      cancel_due->push_back(participants[r]);
+    if (cancel_due != nullptr && st.ledger.b(q) > 0)
+      cancel_due->push_back(q);
   }
 
   balance_ops_.add(1);
   costs.record_operation(initiator, partners.size());
   if (metrics_ != nullptr) {
     m_.balance_ops->add(1);
-    m_.packets_moved->add(flows.moves());
+    m_.packets_moved->add(moved);
   }
   if (recorder_ != nullptr)
-    recorder_->on_balance_op(initiator, partners.size(), flows.moves());
+    recorder_->on_balance_op(initiator, partners.size(), moved);
 }
 
 void System::cancel_self_markers(std::uint32_t p, Rng& rng) {

@@ -259,20 +259,21 @@ class System {
 
   // Zero-alloc opt-in (reserve_classes > 0, DESIGN.md §11): pre-sizes
   // every lazily-grown thread_local on the balancing path — balance
-  // scratch, snake flow scratch, the partner-draw pool — to its analytic
-  // bound.  Each driver calls this once per worker thread at startup, so
-  // a thread whose first balancing operation lands late in the run does
-  // not pay its one-time warmup there.  No-op without the opt-in.
+  // scratch and the partner-draw pool — to its analytic bound.  Each
+  // driver calls this once per worker thread at startup, so a thread
+  // whose first balancing operation lands late in the run does not pay
+  // its one-time warmup there.  No-op without the opt-in.
   void warm_thread_scratch();
 
   // Balancing operation over initiator + delta random partners.
   void balance(std::uint32_t initiator, const std::vector<ProcId>& partners,
                Rng& rng);
 
-  // The reusable core of balance(): the snake deal, write-back and
-  // accounting, WITHOUT the trailing self-marker cancels (the sequential
-  // wrapper runs those inline; the async engine routes them to the
-  // participants' owner shards as messages).  Costs land in `costs` (the
+  // The reusable core of balance(): the deal kernel (deal_participants,
+  // core/balance.hpp) plus the per-participant and run accounting,
+  // WITHOUT the trailing self-marker cancels (the sequential wrapper runs
+  // those inline; the async engine routes them to the participants'
+  // owner shards as messages).  Costs land in `costs` (the
   // sequential drivers pass costs_, the async shards their private
   // ledgers merged at the end); `cancel_due`, when non-null, collects
   // the participants left holding own-class markers; `tid` is the trace
@@ -352,9 +353,10 @@ class System {
   AtomicCounter balance_ops_;
   std::optional<unsigned> partner_radius_;
   bool post_step_check_ = false;
-  // The balancing scratch matrices (compact (delta+1) x k deal buffers)
-  // live in a thread_local inside balance_deal — run_async executes
-  // balancing operations concurrently, one per shard thread.
+  // The balancing scratch (core/balance.hpp: the column-major k x
+  // (delta+1) deal matrices) lives in a thread_local inside balance_deal —
+  // run_async executes balancing operations concurrently, one per shard
+  // thread.
   // Delta-maintained loads for the recorder path (see touch_load).
   std::vector<std::int64_t> loads_cache_;
   bool loads_cache_valid_ = false;

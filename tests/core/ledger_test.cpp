@@ -103,16 +103,46 @@ TEST(Ledger, ReplaceValidatesShapeAndSign) {
   EXPECT_THROW(ledger.replace({0, 0}, {0, -2}), contract_error);
 }
 
+// replace_dealt reads one row of a balancing deal's column-major matrix
+// with the row count as stride.  The tests lay the row out that way, with
+// invalid counts in every other row, so a wrong stride trips a contract
+// check instead of reading plausible values.
+struct DealtRow {
+  std::vector<std::int64_t> d;
+  std::vector<std::int64_t> b;
+  std::size_t row;
+  std::size_t rows;
+
+  DealtRow(const std::vector<std::int64_t>& d_vals,
+           const std::vector<std::int64_t>& b_vals, std::size_t row_index,
+           std::size_t row_count)
+      : d(d_vals.size() * row_count, -7),
+        b(b_vals.size() * row_count, 9),
+        row(row_index),
+        rows(row_count) {
+    for (std::size_t c = 0; c < d_vals.size(); ++c) {
+      d[c * rows + row] = d_vals[c];
+      b[c * rows + row] = b_vals[c];
+    }
+  }
+};
+
+void replace_dealt(Ledger& ledger, const std::vector<std::uint32_t>& cls,
+                   const std::vector<std::int64_t>& d_vals,
+                   const std::vector<std::int64_t>& b_vals,
+                   std::size_t row = 1, std::size_t rows = 3) {
+  const DealtRow dealt(d_vals, b_vals, row, rows);
+  ledger.replace_dealt(cls.data(), cls.size(), dealt.d.data() + row,
+                       dealt.b.data() + row, rows);
+}
+
 TEST(Ledger, ReplaceDealtRequiresSupersetOfActive) {
   Ledger ledger(6);
   ledger.add_real(2, 3);
   ledger.add_real(4, 1);
   // Covering {2, 4} works and fully replaces the state (class 2 keeps
   // only a marker, class 1 is newly inserted).
-  const std::uint32_t cls[] = {1, 2, 4};
-  const std::int64_t d_vals[] = {5, 0, 2};
-  const std::int64_t b_vals[] = {0, 1, 0};
-  ledger.replace_dealt(cls, 3, d_vals, b_vals);
+  replace_dealt(ledger, {1, 2, 4}, {5, 0, 2}, {0, 1, 0});
   EXPECT_EQ(ledger.d(1), 5);
   EXPECT_EQ(ledger.d(2), 0);
   EXPECT_EQ(ledger.b(2), 1);
@@ -122,13 +152,98 @@ TEST(Ledger, ReplaceDealtRequiresSupersetOfActive) {
   ledger.check(1);
   // Omitting an active class (2 still holds a marker) breaks the
   // superset precondition; the contract check fires before any mutation.
-  const std::uint32_t missing[] = {1, 4};
-  const std::int64_t dv[] = {1, 1};
-  const std::int64_t bv[] = {0, 0};
-  EXPECT_THROW(ledger.replace_dealt(missing, 2, dv, bv), contract_error);
+  EXPECT_THROW(replace_dealt(ledger, {1, 4}, {1, 1}, {0, 0}), contract_error);
   EXPECT_EQ(ledger.real_load(), 7);  // untouched by the rejected call
   EXPECT_EQ(ledger.borrowed_total(), 1);
   ledger.check(1);
+}
+
+TEST(Ledger, ReplaceDealtRejectsInvalidRowsBeforeAnyWrite) {
+  Ledger ledger(6);
+  ledger.add_real(2, 3);
+  ledger.add_real(4, 1);
+  const std::vector<std::int64_t> want_d = ledger.dense_d();
+  const auto expect_untouched = [&] {
+    EXPECT_EQ(ledger.dense_d(), want_d);
+    EXPECT_EQ(ledger.borrowed_total(), 0);
+    ledger.check(1);
+  };
+  // Classes out of order, repeated, or out of range.
+  EXPECT_THROW(replace_dealt(ledger, {4, 2}, {1, 1}, {0, 0}), contract_error);
+  expect_untouched();
+  EXPECT_THROW(replace_dealt(ledger, {2, 2, 4}, {1, 1, 1}, {0, 0, 0}),
+               contract_error);
+  expect_untouched();
+  EXPECT_THROW(replace_dealt(ledger, {2, 4, 6}, {1, 1, 1}, {0, 0, 0}),
+               contract_error);
+  expect_untouched();
+  // A negative real count, and a marker count outside {0, 1}.
+  EXPECT_THROW(replace_dealt(ledger, {2, 4}, {1, -1}, {0, 0}), contract_error);
+  expect_untouched();
+  EXPECT_THROW(replace_dealt(ledger, {2, 4}, {1, 1}, {2, 0}), contract_error);
+  expect_untouched();
+  // A zero stride would read one cell over and over.
+  const std::uint32_t cls[] = {2, 4};
+  const std::int64_t vals[] = {1, 1};
+  EXPECT_THROW(ledger.replace_dealt(cls, 2, vals, vals, 0), contract_error);
+  expect_untouched();
+}
+
+// The write-back rebuilds the slots in place, so it must grow an inline
+// ledger into a heap block when the row has more live classes than fit,
+// and keep a spilled ledger consistent when the row shrinks it back
+// below the inline capacity (the block is kept: storage never shrinks).
+TEST(Ledger, ReplaceDealtCrossesTheInlineSpillBoundary) {
+  constexpr std::uint32_t kInline = Ledger::kInlineClasses;
+  Ledger ledger(32);
+  ledger.add_real(3, 2);
+  ASSERT_EQ(ledger.memory_bytes(), sizeof(Ledger));
+
+  // Inline -> spilled: every class 0..kInline+1 becomes live.
+  std::vector<std::uint32_t> wide;
+  std::vector<std::int64_t> wide_d;
+  std::vector<std::int64_t> wide_b;
+  for (std::uint32_t j = 0; j < kInline + 2; ++j) {
+    wide.push_back(j);
+    wide_d.push_back(static_cast<std::int64_t>(j) + 1);
+    wide_b.push_back(static_cast<std::int64_t>(j % 2));
+  }
+  replace_dealt(ledger, wide, wide_d, wide_b, 0, 4);
+  ledger.check(kInline);
+  EXPECT_GT(ledger.memory_bytes(), sizeof(Ledger));
+  ASSERT_EQ(ledger.active_classes().size(), kInline + 2);
+  for (std::uint32_t j = 0; j < kInline + 2; ++j) {
+    EXPECT_EQ(ledger.d(j), wide_d[j]);
+    EXPECT_EQ(ledger.b(j), wide_b[j]);
+  }
+  const std::span<const std::uint32_t> marked = ledger.marked_classes();
+  EXPECT_EQ(std::vector<std::uint32_t>(marked.begin(), marked.end()),
+            (std::vector<std::uint32_t>{1, 3, 5}));
+
+  // Spilled -> below the inline capacity: the row zeroes all but two of
+  // the covered classes and adds one class that was not active.
+  std::vector<std::uint32_t> cls = wide;
+  cls.push_back(20);
+  std::vector<std::int64_t> d_vals(cls.size(), 0);
+  std::vector<std::int64_t> b_vals(cls.size(), 0);
+  d_vals[2] = 4;
+  b_vals.back() = 1;
+  replace_dealt(ledger, cls, d_vals, b_vals, 3, 4);
+  ledger.check(kInline);
+  const std::span<const std::uint32_t> active = ledger.active_classes();
+  EXPECT_EQ(std::vector<std::uint32_t>(active.begin(), active.end()),
+            (std::vector<std::uint32_t>{2, 20}));
+  EXPECT_EQ(ledger.first_marked_class(), 20u);
+  EXPECT_EQ(ledger.real_load(), 4);
+  EXPECT_EQ(ledger.borrowed_total(), 1);
+
+  // And back up past the boundary again from the kept block.
+  replace_dealt(ledger, cls, std::vector<std::int64_t>(cls.size(), 1),
+                std::vector<std::int64_t>(cls.size(), 0), 2, 4);
+  ledger.check(kInline);
+  EXPECT_EQ(ledger.active_classes().size(), cls.size());
+  EXPECT_EQ(ledger.real_load(), static_cast<std::int64_t>(cls.size()));
+  EXPECT_EQ(ledger.borrowed_total(), 0);
 }
 
 TEST(Ledger, FirstMarkedClass) {
@@ -167,7 +282,8 @@ TEST(Ledger, OutOfRangeClassThrows) {
 // Exercises every mutator: add/remove/borrow/clear (settle)/repay/
 // set_d/set_b/replace, the general merge write-back apply_dealt with
 // random ascending class subsets, and the hot-path rebuild write-back
-// replace_dealt with random supersets of the active list.
+// replace_dealt with random supersets of the active list, read as one
+// row of a column-major deal matrix.
 
 struct DenseReference {
   std::vector<std::int64_t> d;
@@ -348,8 +464,11 @@ TEST(LedgerProperty, SparseStorageTracksDenseReferenceUnderRandomOps) {
             b_vals.push_back(0);
           }
         }
-        ledger.replace_dealt(cls.data(), cls.size(), d_vals.data(),
-                             b_vals.data());
+        // Row position and count vary with op, leaving the rng stream
+        // (and so the op sequence) as it was.
+        const auto rows = 1 + static_cast<std::size_t>(op) % 5;
+        replace_dealt(ledger, cls, d_vals, b_vals,
+                      static_cast<std::size_t>(op) / 5 % rows, rows);
         ref = DenseReference(kClasses);
         for (std::size_t i = 0; i < cls.size(); ++i) {
           ref.d[cls[i]] = d_vals[i];
@@ -495,8 +614,11 @@ TEST(LedgerProperty, InlineSpillBoundaryTracksDenseReference) {
           b_vals.push_back(mark ? 1 : 0);
           budget -= mark ? 1 : 0;
         }
-        ledger.replace_dealt(cls.data(), cls.size(), d_vals.data(),
-                             b_vals.data());
+        // Row position and count vary with op, leaving the rng stream
+        // (and so the op sequence) as it was.
+        const auto rows = 1 + static_cast<std::size_t>(op) % 5;
+        replace_dealt(ledger, cls, d_vals, b_vals,
+                      static_cast<std::size_t>(op) / 5 % rows, rows);
         ref = DenseReference(kClasses);
         for (std::size_t i = 0; i < cls.size(); ++i) {
           ref.d[cls[i]] = d_vals[i];

@@ -86,11 +86,15 @@ struct RecordingSink final : SnakeFlowSink {
   }
 };
 
-// Runs the compact overload on a copy of `m`, returning the flat result,
-// the continuation pointer and the recorded flows.
+// Runs the compact overload on a column-major copy of `m` — column j
+// holds the rows' class-j counts, so cell (r, j) sits at j * rows + r —
+// returning the flat result, the continuation pointer, the gross moves,
+// the per-row deltas and the recorded flows.
 struct CompactRun {
   std::vector<std::int64_t> counts;
   std::size_t ptr;
+  std::uint64_t moved;
+  std::vector<std::int64_t> row_delta;
   RecordingSink sink;
 };
 
@@ -99,15 +103,31 @@ CompactRun run_compact(const Matrix& m, std::size_t start,
   CompactRun out;
   const std::size_t rows = m.size();
   const std::size_t cols = m[0].size();
-  out.counts.reserve(rows * cols);
-  for (const auto& row : m)
-    out.counts.insert(out.counts.end(), row.begin(), row.end());
+  out.counts.resize(rows * cols);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t j = 0; j < cols; ++j) out.counts[j * rows + r] = m[r][j];
+  out.row_delta.assign(rows, 0);
   SnakeCompactOptions opts;
   opts.start = start;
+  opts.row_delta = out.row_delta.data();
   opts.flows = &out.sink;
   if (excluded != nullptr) opts.excluded_row_per_column = excluded->data();
-  out.ptr = snake_redistribute(out.counts.data(), rows, cols, opts);
+  const SnakeDeal deal =
+      snake_redistribute(out.counts.data(), rows, cols, opts);
+  out.ptr = deal.ptr;
+  out.moved = deal.moved;
   return out;
+}
+
+// The aggregate accounting of a compact run agrees with the dense result:
+// each row's delta is its row-total change and the gross moves are the
+// recorded pair flows' total.
+void expect_accounting(const CompactRun& run, const Matrix& before,
+                       const Matrix& after) {
+  for (std::size_t r = 0; r < before.size(); ++r)
+    EXPECT_EQ(run.row_delta[r], row_total(after, r) - row_total(before, r))
+        << "row " << r;
+  EXPECT_EQ(run.moved, run.sink.total);
 }
 
 TEST(Snake, AlreadyBalancedIsStable) {
@@ -119,6 +139,7 @@ TEST(Snake, AlreadyBalancedIsStable) {
   const CompactRun run = run_compact(before, 0);
   EXPECT_TRUE(run.sink.flows.empty());
   EXPECT_EQ(run.sink.total, 0u);
+  EXPECT_EQ(run.moved, 0u);
 }
 
 TEST(Snake, SingleParticipantIsIdentity) {
@@ -188,6 +209,9 @@ TEST(SnakeFlows, ReportsReceivedPackets) {
   EXPECT_EQ(run.sink.flows[0], (RecordingSink::Flow{0, 0, 1, 2}));
   EXPECT_EQ(run.sink.flows[1], (RecordingSink::Flow{1, 1, 0, 1}));
   EXPECT_EQ(run.sink.total, 3u);
+  EXPECT_EQ(run.moved, 3u);
+  EXPECT_EQ(run.counts, (std::vector<std::int64_t>{2, 2, 1, 1}));
+  expect_accounting(run, before, {{2, 1}, {2, 1}});
 }
 
 TEST(SnakeFlows, CompactRejectsBadInputs) {
@@ -200,6 +224,8 @@ TEST(SnakeFlows, CompactRejectsBadInputs) {
   opts.start = 0;
   counts[0] = -1;
   EXPECT_THROW(snake_redistribute(counts.data(), 2, 1, opts), contract_error);
+  // An empty deal (no columns) needs no matrix.
+  EXPECT_EQ(snake_redistribute(nullptr, 2, 0, opts).ptr, 0u);
 }
 
 // All-zero columns must be invisible to the deal: same results for the
@@ -220,10 +246,12 @@ TEST(SnakeFlows, ZeroColumnsDoNotAffectDealOrPointer) {
       mapped.col = col_map[mapped.col];
       EXPECT_EQ(dense_run.sink.flows[i], mapped) << "flow " << i;
     }
+    EXPECT_EQ(dense_run.moved, compact_run.moved);
+    EXPECT_EQ(dense_run.row_delta, compact_run.row_delta);
     for (std::size_t r = 0; r < 3; ++r)
       for (std::size_t c = 0; c < 3; ++c)
-        EXPECT_EQ(dense_run.counts[r * 5 + col_map[c]],
-                  compact_run.counts[r * 3 + c]);
+        EXPECT_EQ(dense_run.counts[col_map[c] * 3 + r],
+                  compact_run.counts[c * 3 + r]);
   }
 }
 
@@ -258,15 +286,17 @@ TEST_P(SnakeProperty, S1AndS2HoldAndMassIsConserved) {
   // matches the packets actually received.
   const CompactRun run = run_compact(before, opts.start);
   EXPECT_EQ(run.ptr, dense_ptr);
+  const std::size_t rows = param.participants;
   std::uint64_t received = 0;
-  for (std::size_t r = 0; r < param.participants; ++r)
+  for (std::size_t r = 0; r < rows; ++r)
     for (std::size_t j = 0; j < param.classes; ++j) {
-      EXPECT_EQ(run.counts[r * param.classes + j], counts[r][j]);
-      if (run.counts[r * param.classes + j] > before[r][j])
-        received += static_cast<std::uint64_t>(
-            run.counts[r * param.classes + j] - before[r][j]);
+      EXPECT_EQ(run.counts[j * rows + r], counts[r][j]);
+      if (run.counts[j * rows + r] > before[r][j])
+        received += static_cast<std::uint64_t>(run.counts[j * rows + r] -
+                                               before[r][j]);
     }
   EXPECT_EQ(run.sink.total, received);
+  expect_accounting(run, before, counts);
 }
 
 // Exclusion ([D7]) property sweep: excluded rows keep their class count,
@@ -300,7 +330,8 @@ TEST_P(SnakeExclusionProperty, ExcludedRowsUntouchedAndMassConserved) {
   EXPECT_EQ(run.ptr, dense_ptr);
   for (std::size_t r = 0; r < param.participants; ++r)
     for (std::size_t j = 0; j < param.classes; ++j)
-      EXPECT_EQ(run.counts[r * param.classes + j], counts[r][j]);
+      EXPECT_EQ(run.counts[j * param.participants + r], counts[r][j]);
+  expect_accounting(run, before, counts);
 
   for (std::size_t j = 0; j < param.classes; ++j) {
     EXPECT_EQ(column_total(counts, j), column_total(before, j));
