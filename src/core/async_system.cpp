@@ -11,27 +11,33 @@ AsyncSystem::AsyncSystem(const Topology& topology, AsyncConfig config)
       config_(config),
       rng_(config.seed),
       loads_(topology.size(), 0),
-      procs_(topology.size()) {
+      deferred_(topology.size()) {
   DLB_REQUIRE(topology_.size() >= 2, "async system needs >= 2 processors");
   DLB_REQUIRE(config_.f > 1.0, "async runtime requires f > 1");
   DLB_REQUIRE(config_.delta >= 1 && config_.delta < topology_.size(),
               "delta out of range");
   DLB_REQUIRE(config_.hop_latency >= 0.0, "latency cannot be negative");
+  endpoints_.reserve(topology_.size());
+  for (ProcId p = 0; p < topology_.size(); ++p)
+    endpoints_.emplace_back(p, config_.delta, /*fault_tolerant=*/false);
 }
 
-void AsyncSystem::schedule_message(const Message& msg) {
-  ++stats_.messages;
-  const double latency =
-      config_.hop_latency *
-      static_cast<double>(topology_.distance(msg.from, msg.to));
-  Event ev;
-  ev.time = now_ + latency;
-  ev.seq = ++seq_;
-  ev.app = false;
-  ev.proc = msg.to;
-  ev.t = 0;
-  ev.msg = msg;
-  queue_.push(ev);
+void AsyncSystem::send_outbox() {
+  for (const TxnMessage& msg : outbox_) {
+    ++stats_.messages;
+    const double latency =
+        config_.hop_latency *
+        static_cast<double>(topology_.distance(msg.from, msg.to));
+    Event ev;
+    ev.time = now_ + latency;
+    ev.seq = ++seq_;
+    ev.app = false;
+    ev.proc = msg.to;
+    ev.t = 0;
+    ev.msg = msg;
+    queue_.push(ev);
+  }
+  outbox_.clear();
 }
 
 void AsyncSystem::run(const Trace& trace) {
@@ -78,18 +84,21 @@ void AsyncSystem::run(const Trace& trace) {
 
   // Every transaction must have drained.
   for (ProcId p = 0; p < topology_.size(); ++p) {
-    DLB_ENSURE(procs_[p].mode == Mode::Idle,
+    DLB_ENSURE(endpoints_[p].state() == TxnEndpoint::State::Idle,
                "transaction still open after drain");
-    DLB_ENSURE(procs_[p].deferred.empty(), "deferred demand lost");
+    DLB_ENSURE(deferred_[p].empty(), "deferred demand lost");
+    const TxnCounters& c = endpoints_[p].counters();
+    stats_.balance_ops += c.completed;
+    stats_.aborted_ops += c.abandoned;
+    stats_.refusals += c.refusals;
   }
 }
 
 void AsyncSystem::execute_app(ProcId p, std::uint32_t t, WorkEvent ev) {
-  Proc& proc = procs_[p];
-  if (proc.mode == Mode::Locked) {
+  if (endpoints_[p].state() == TxnEndpoint::State::Locked) {
     // The processor's load is under negotiation; its demand waits for
-    // the assignment (and is replayed in release()).
-    proc.deferred.emplace_back(t, ev);
+    // the assignment (and is replayed in deliver()).
+    deferred_[p].emplace_back(t, ev);
     ++stats_.deferred_events;
     return;
   }
@@ -108,117 +117,31 @@ void AsyncSystem::execute_app(ProcId p, std::uint32_t t, WorkEvent ev) {
   maybe_initiate(p);
 }
 
-void AsyncSystem::deliver(const Message& msg) {
-  switch (msg.type) {
-    case MsgType::Invite: handle_invite(msg); return;
-    case MsgType::Accept:
-    case MsgType::Refuse: handle_reply(msg); return;
-    case MsgType::Assign: handle_assign(msg); return;
-  }
-}
-
-void AsyncSystem::handle_invite(const Message& msg) {
-  Proc& proc = procs_[msg.to];
-  if (proc.mode != Mode::Idle) {
-    ++stats_.refusals;
-    schedule_message(
-        Message{MsgType::Refuse, msg.to, msg.from, msg.txn, 0});
-    return;
-  }
-  proc.mode = Mode::Locked;
-  proc.txn = msg.txn;  // reused as the lock's transaction id
-  schedule_message(
-      Message{MsgType::Accept, msg.to, msg.from, msg.txn, loads_[msg.to]});
-}
-
-void AsyncSystem::handle_reply(const Message& msg) {
-  Proc& proc = procs_[msg.to];
-  DLB_ENSURE(proc.mode == Mode::Initiating && msg.txn == proc.txn,
-             "reply without a matching open transaction");
-  DLB_ENSURE(proc.pending > 0, "more replies than invitations");
-  if (msg.type == MsgType::Accept) {
-    proc.accepted.push_back(msg.from);
-    proc.reported.push_back(msg.payload);
-  }
-  --proc.pending;
-  if (proc.pending == 0) finish_transaction(msg.to);
-}
-
-void AsyncSystem::finish_transaction(ProcId p) {
-  Proc& proc = procs_[p];
-  if (proc.accepted.empty()) {
-    ++stats_.aborted_ops;
-    proc.mode = Mode::Idle;
-    proc.l_old = loads_[p];
-    return;
-  }
-  std::int64_t pool = loads_[p];
-  for (std::int64_t l : proc.reported) pool += l;
-  const auto m = static_cast<std::int64_t>(proc.accepted.size()) + 1;
-  const std::int64_t base = pool / m;
-  std::int64_t remainder = pool % m;
-
-  const std::int64_t own_before = loads_[p];
-  const std::int64_t own_share = base + (remainder > 0 ? 1 : 0);
-  if (remainder > 0) --remainder;
-  if (own_share > own_before)
-    stats_.packets_moved +=
-        static_cast<std::uint64_t>(own_share - own_before);
-  loads_[p] = own_share;
-
-  for (std::size_t k = 0; k < proc.accepted.size(); ++k) {
-    const std::int64_t share =
-        base + (static_cast<std::int64_t>(k) < remainder ? 1 : 0);
-    if (share > proc.reported[k])
-      stats_.packets_moved +=
-          static_cast<std::uint64_t>(share - proc.reported[k]);
-    schedule_message(
-        Message{MsgType::Assign, p, proc.accepted[k], proc.txn, share});
-  }
-
-  ++stats_.balance_ops;
-  proc.mode = Mode::Idle;
-  proc.l_old = loads_[p];
-  proc.accepted.clear();
-  proc.reported.clear();
-}
-
-void AsyncSystem::handle_assign(const Message& msg) {
-  Proc& proc = procs_[msg.to];
-  DLB_ENSURE(proc.mode == Mode::Locked && msg.txn == proc.txn,
-             "assignment without a matching lock");
-  loads_[msg.to] = msg.payload;
-  proc.l_old = msg.payload;
-  proc.mode = Mode::Idle;
-  release(msg.to);
-}
-
-void AsyncSystem::release(ProcId p) {
-  // Replay demand that arrived while the processor was locked.  The
-  // replay itself may initiate a new transaction (execute_app handles
-  // all modes), and further deferred events then apply immediately.
-  Proc& proc = procs_[p];
+void AsyncSystem::deliver(const TxnMessage& msg) {
+  const ProcId p = msg.to;
+  TxnEndpoint& endpoint = endpoints_[p];
+  const bool was_locked = endpoint.state() == TxnEndpoint::State::Locked;
+  const std::int64_t before = loads_[p];
+  endpoint.on_message(msg, loads_[p], outbox_);
+  // A transaction rewrites a load only when it completes: the
+  // initiator's share or a partner's Assign.  Their gains add up to the
+  // packets the operation moved.
+  if (loads_[p] > before)
+    stats_.packets_moved += static_cast<std::uint64_t>(loads_[p] - before);
+  send_outbox();
+  if (!was_locked || endpoint.state() == TxnEndpoint::State::Locked) return;
+  // Released: replay demand that arrived while the processor was locked.
+  // The replay itself may initiate a new transaction (execute_app
+  // handles all modes), and further deferred events then apply
+  // immediately.
   std::vector<std::pair<std::uint32_t, WorkEvent>> pending;
-  pending.swap(proc.deferred);
+  pending.swap(deferred_[p]);
   for (const auto& [t, ev] : pending) execute_app(p, t, ev);
 }
 
 void AsyncSystem::maybe_initiate(ProcId p) {
-  Proc& proc = procs_[p];
-  if (proc.mode != Mode::Idle) return;
-  const std::int64_t load = loads_[p];
-  const bool grew = load > proc.l_old &&
-                    static_cast<double>(load) >=
-                        config_.f * static_cast<double>(proc.l_old);
-  const bool shrank = load < proc.l_old && proc.l_old >= 1 &&
-                      static_cast<double>(load) <=
-                          static_cast<double>(proc.l_old) / config_.f;
-  if (!grew && !shrank) return;
-
-  proc.mode = Mode::Initiating;
-  proc.txn = ++txn_counter_;
-  proc.accepted.clear();
-  proc.reported.clear();
+  if (!endpoints_[p].triggered(loads_[p], config_.f)) return;
+  const std::uint64_t txn = ++txn_counter_;
   std::vector<ProcId> partners;
   if (config_.partner_radius == 0) {
     partners = rng_.sample_distinct(topology_.size(), config_.delta, p);
@@ -238,9 +161,8 @@ void AsyncSystem::maybe_initiate(ProcId p) {
         partners.push_back(ball[k]);
     }
   }
-  proc.pending = static_cast<std::uint32_t>(partners.size());
-  for (ProcId q : partners)
-    schedule_message(Message{MsgType::Invite, p, q, proc.txn, 0});
+  endpoints_[p].start(txn, partners, loads_[p], outbox_);
+  send_outbox();
 }
 
 }  // namespace dlb

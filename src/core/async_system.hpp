@@ -12,11 +12,10 @@
 // (bench/ablation_latency) sweep the hop latency — and exercises the
 // refusal-based deadlock-freedom argument under a precise event order.
 //
-// Protocol states per processor: Idle, Initiating (sent invites, awaits
-// all replies; refuses incoming invites), Locked (accepted an invite,
-// awaits the assignment; refuses everything else).  The initiator
-// equalizes over the loads *reported in the Accept messages*; a locked
-// partner defers its application demand until released, so reported
+// The transaction itself (lock/refuse, share split, Assign) is
+// core/txn_protocol's TxnEndpoint, one per processor; this engine
+// supplies the event queue, the hop latency, the partner draw and the
+// demand a locked partner defers until its Assign lands, so reported
 // loads stay exact and packets are conserved.
 //
 // Determinism: events are ordered by (time, sequence number) and all
@@ -28,6 +27,7 @@
 #include <queue>
 #include <vector>
 
+#include "core/txn_protocol.hpp"
 #include "net/topology.hpp"
 #include "support/rng.hpp"
 #include "workload/trace.hpp"
@@ -82,17 +82,6 @@ class AsyncSystem {
   }
 
  private:
-  enum class MsgType : std::uint8_t { Invite, Accept, Refuse, Assign };
-  enum class Mode : std::uint8_t { Idle, Initiating, Locked };
-
-  struct Message {
-    MsgType type;
-    ProcId from;
-    ProcId to;
-    std::uint64_t txn;
-    std::int64_t payload;  // Accept: reported load; Assign: new load
-  };
-
   struct Event {
     double time;
     std::uint64_t seq;
@@ -100,7 +89,7 @@ class AsyncSystem {
     bool app;
     ProcId proc;       // app target
     std::uint32_t t;   // app step
-    Message msg;       // valid when !app
+    TxnMessage msg;    // valid when !app
   };
 
   struct EventLater {
@@ -110,33 +99,19 @@ class AsyncSystem {
     }
   };
 
-  struct Proc {
-    Mode mode = Mode::Idle;
-    std::int64_t l_old = 0;
-    // Initiator bookkeeping.
-    std::uint64_t txn = 0;
-    std::uint32_t pending = 0;
-    std::vector<ProcId> accepted;
-    std::vector<std::int64_t> reported;
-    // Deferred application events while Locked.
-    std::vector<std::pair<std::uint32_t, WorkEvent>> deferred;
-  };
-
-  void schedule_message(const Message& msg);
+  void send_outbox();
   void execute_app(ProcId p, std::uint32_t t, WorkEvent ev);
-  void deliver(const Message& msg);
-  void handle_invite(const Message& msg);
-  void handle_reply(const Message& msg);
-  void handle_assign(const Message& msg);
+  void deliver(const TxnMessage& msg);
   void maybe_initiate(ProcId p);
-  void finish_transaction(ProcId p);
-  void release(ProcId p);
 
   const Topology& topology_;
   AsyncConfig config_;
   Rng rng_;
   std::vector<std::int64_t> loads_;
-  std::vector<Proc> procs_;
+  std::vector<TxnEndpoint> endpoints_;
+  // Application events deferred while a processor is Locked.
+  std::vector<std::vector<std::pair<std::uint32_t, WorkEvent>>> deferred_;
+  std::vector<TxnMessage> outbox_;
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
   double now_ = 0.0;
   std::uint64_t seq_ = 0;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/txn_protocol.hpp"
 #include "mp/message.hpp"
 #include "mp/spmd_balance.hpp"
 #include "support/check.hpp"
@@ -116,13 +117,8 @@ void spmd_balance_rank(CommT& comm, const Trace& trace,
     }
 
     // Replicated balancing round over the survivors.
-    const bool grew = load > l_old &&
-                      static_cast<double>(load) >=
-                          params.f * static_cast<double>(l_old);
-    const bool shrank = load < l_old && l_old >= 1 &&
-                        static_cast<double>(load) <=
-                            static_cast<double>(l_old) / params.f;
-    comm.allgather_checked(grew || shrank ? 1 : 0, triggers);
+    comm.allgather_checked(drift_trigger(load, l_old, params.f) ? 1 : 0,
+                           triggers);
     comm.allgather_checked(load, loads);
     // Ranks die only at their tick, so both step-t collectives carry
     // the same alive mask and the replicated decisions below consume

@@ -2,8 +2,8 @@
 //
 // One mailbox per processor thread; any thread may send.  recv() blocks on
 // a condition variable; try_recv() polls.  close() wakes all blocked
-// receivers (used only for teardown on error paths — normal shutdown goes
-// through a Shutdown message so no event is ever lost).
+// receivers, which still drain every queued message before recv()
+// reports the close, so closing is how ThreadedSystem ends a run.
 //
 // The queue is a RingQueue, not a std::deque: once the mailbox has seen
 // its high-water depth, send/recv/drain_into reuse the same buffer

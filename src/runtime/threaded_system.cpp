@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "obs/alloc.hpp"
@@ -17,14 +15,16 @@ class ThreadedSystem::Worker {
  public:
   Worker(std::uint32_t id, ThreadedSystem& owner, const Trace& trace,
          std::uint64_t seed)
-      : id_(id), owner_(owner), trace_(trace), rng_(seed) {
+      : id_(id),
+        owner_(owner),
+        trace_(trace),
+        rng_(seed),
+        endpoint_(id, owner.config_.delta, owner.faults_on_) {
     // Warm the transaction scratch to its bounds up front: a partner
     // count below delta early on must not leave a short vector that
     // reallocates the first time every partner accepts late in a run.
     partners_.reserve(owner_.config_.delta);
-    accepted_.reserve(owner_.config_.delta);
-    partner_loads_.reserve(owner_.config_.delta);
-    replied_.reserve(owner_.config_.delta);
+    outbox_.reserve(owner_.config_.delta + 1);
     drain_buf_.reserve(2 * static_cast<std::size_t>(owner_.processors_));
     if (owner_.faults_on_) {
       links_.resize(owner_.processors_);
@@ -75,10 +75,10 @@ class ThreadedSystem::Worker {
     }
     // Finished our own demand: release delayed in-flight messages, then
     // keep serving transactions from slower threads until everyone is
-    // done and the Shutdown message arrives.
+    // done and the mailbox is closed.
     flush_held();
     owner_.done_count_.fetch_add(1, std::memory_order_acq_rel);
-    serve_until_shutdown();
+    while (auto msg = owner_.mailboxes_[id_]->recv()) serve(*msg);
     // Transactions served while idling are steady-state work too;
     // account them against the final step so nothing hides post-loop.
     if (track_allocs && trace_.horizon() > 0)
@@ -87,11 +87,22 @@ class ThreadedSystem::Worker {
   }
 
   std::int64_t final_load() const { return load_; }
-  const ThreadedStats& stats() const { return stats_; }
+  /// This thread's counters with its endpoint's transaction outcomes.
+  ThreadedStats stats() const {
+    ThreadedStats s = stats_;
+    const TxnCounters& c = endpoint_.counters();
+    s.balance_ops = c.completed;
+    s.refusals = c.refusals;
+    s.aborted_ops = c.rollbacks;
+    s.timeouts = c.timeouts;
+    s.lost_packets += c.lost_packets;
+    s.lost_load += c.lost_load;
+    return s;
+  }
   const obs::AllocTally& alloc_tally() const { return alloc_; }
 
  private:
-  using Message = ThreadedSystem::Message;
+  using State = TxnEndpoint::State;
 
   bool is_dead(std::uint32_t p) const {
     return owner_.dead_[p].load(std::memory_order_acquire) != 0;
@@ -109,9 +120,11 @@ class ThreadedSystem::Worker {
   /// lost), raise the dead flag so survivors blacklist us, and stop
   /// participating — held (delayed) messages strand with the crash.
   /// The thread lingers as a silent zombie draining its mailbox until
-  /// Shutdown: it never replies, but it must account Assign deltas that
+  /// it closes: it never replies, but it must account Assign deltas that
   /// were in flight toward it when it died (senders that saw the dead
   /// flag account on their side; exactly one side sees each message).
+  /// The endpoint is idle at a step boundary, so it treats each Assign
+  /// as a stray and declares it lost once.
   void die() {
     if (obs::TraceBuffer* tb = tracer())
       tb->instant("crash", "fault", id_, id_);
@@ -119,33 +132,27 @@ class ThreadedSystem::Worker {
     stats_.ranks_dead = 1;
     owner_.dead_[id_].store(1, std::memory_order_release);
     owner_.done_count_.fetch_add(1, std::memory_order_acq_rel);
-    while (true) {
-      auto msg = owner_.mailboxes_[id_]->recv();
-      if (!msg.has_value() || msg->type == Message::Type::Shutdown) return;
-      if (msg->type == Message::Type::Assign &&
-          completed_.count(msg->txn) == 0) {
-        account_lost(*msg);
-        completed_.insert(msg->txn);  // a duplicate is not lost twice
-      }
-    }
+    while (auto msg = owner_.mailboxes_[id_]->recv())
+      if (msg->type == TxnMsgType::Assign)
+        endpoint_.on_message(*msg, load_, outbox_);
   }
 
   /// A lost Assign's delta is load in no one's ledger; everything else
   /// is control traffic.
-  void account_lost(const Message& msg) {
+  void account_lost(const TxnMessage& msg) {
     ++stats_.lost_packets;
-    if (msg.type == Message::Type::Assign) stats_.lost_load += msg.load;
+    if (msg.type == TxnMsgType::Assign) stats_.lost_load += msg.value;
   }
 
-  void deliver(std::uint32_t to, const Message& msg) {
-    owner_.mailboxes_[to]->send(msg);
+  void deliver(const TxnMessage& msg) {
+    owner_.mailboxes_[msg.to]->send(msg);
   }
 
-  void send(std::uint32_t to, Message msg) {
-    msg.from = id_;
+  void send(const TxnMessage& msg) {
+    const std::uint32_t to = msg.to;
     ++stats_.messages;
     if (!owner_.faults_on_) {
-      deliver(to, msg);
+      deliver(msg);
       return;
     }
     if (is_dead(to)) {
@@ -159,32 +166,39 @@ class ThreadedSystem::Worker {
     }
     // A delayed message is released just after the next message that
     // flows on the same link (deterministic reorder per link stream).
-    std::optional<Message> release = std::exchange(held_[to], std::nullopt);
+    std::optional<TxnMessage> release =
+        std::exchange(held_[to], std::nullopt);
     if (decision.delay) {
       held_[to] = msg;
-      if (release) deliver(to, *release);
+      if (release) deliver(*release);
       return;
     }
-    if (decision.duplicate) deliver(to, msg);
-    deliver(to, msg);
-    if (release) deliver(to, *release);
+    if (decision.duplicate) deliver(msg);
+    deliver(msg);
+    if (release) deliver(*release);
+  }
+
+  /// Sends what the endpoint queued.
+  void flush_outbox() {
+    for (const TxnMessage& msg : outbox_) send(msg);
+    outbox_.clear();
   }
 
   void flush_held() {
     if (!owner_.faults_on_) return;
     for (std::uint32_t d = 0; d < owner_.processors_; ++d) {
-      if (held_[d] && !is_dead(d)) deliver(d, *held_[d]);
+      if (held_[d] && !is_dead(d)) deliver(*held_[d]);
       held_[d].reset();
     }
   }
 
   /// Next message out of the drained batch, if any.  The transaction
-  /// wait loops consult this BEFORE blocking on the mailbox: a partner
+  /// wait loop consults this BEFORE blocking on the mailbox: a partner
   /// locked into one transaction must still see (and refuse) an Invite
   /// that was pulled into the batch just before the lock, exactly as it
   /// would have seen it in the mailbox — otherwise three initiators can
   /// deadlock in a cycle, each waiting on a reply buried in a batch.
-  std::optional<Message> buffered_message() {
+  std::optional<TxnMessage> buffered_message() {
     if (drain_pos_ < drain_buf_.size()) return drain_buf_[drain_pos_++];
     return std::nullopt;
   }
@@ -193,168 +207,74 @@ class ThreadedSystem::Worker {
     // Batch drain: one mutex round-trip pulls everything queued, then
     // the messages are handled lock-free.  Handling can send (and with
     // faults, deliver to ourselves), so keep draining until a pass
-    // comes back empty.  handle_idle can consume the batch tail itself
-    // through buffered_message(), hence the cursor-based walk.
+    // comes back empty.  A transaction wait can consume the batch tail
+    // itself through buffered_message(), hence the cursor-based walk.
     for (;;) {
-      while (auto msg = buffered_message()) handle_idle(*msg);
+      while (auto msg = buffered_message()) serve(*msg);
       drain_buf_.clear();
       drain_pos_ = 0;
       if (owner_.mailboxes_[id_]->drain_into(drain_buf_) == 0) return;
     }
   }
 
-  void serve_until_shutdown() {
-    while (true) {
-      auto msg = owner_.mailboxes_[id_]->recv();
-      if (!msg.has_value() || msg->type == Message::Type::Shutdown) return;
-      handle_idle(*msg);
-    }
+  /// Handles a message that arrives outside a transaction; an accepted
+  /// Invite locks us until its Assign lands (or the lock rolls back).
+  void serve(const TxnMessage& msg) {
+    endpoint_.on_message(msg, load_, outbox_);
+    flush_outbox();
+    if (endpoint_.state() != State::Locked) return;
+    // Span: accepted -> Assign applied (or rollback).  Renders on this
+    // worker's track next to the initiator's balance_txn span.
+    const obs::ScopedTimer lock_span(nullptr, tracer(), "partner_lock",
+                                     "txn", id_, endpoint_.txn());
+    await_transaction();
   }
 
-  /// Disposes of a transaction reply that does not belong to any open
-  /// wait.  Only reachable with faults enabled (drops, duplicates and
-  /// timeouts create stragglers); fault-free runs assert instead.
-  void handle_stray(const Message& msg) {
-    switch (msg.type) {
-      case Message::Type::Accept: {
-        // Duplicate of an Accept we already answered with a real
-        // Assign?  Then the sender is NOT stuck — rolling back here
-        // could overtake the real Assign (delay reorders one link) and
-        // make the partner discard its delta.  Ignore the duplicate.
-        const auto it = assigned_.find(msg.txn);
-        if (it != assigned_.end() &&
-            std::find(it->second.begin(), it->second.end(), msg.from) !=
-                it->second.end())
-          break;
-        // Otherwise the sender is locked awaiting an Assign for a
-        // transaction we closed without it: unlock it with a rollback
-        // (delta 0).
-        send(msg.from, Message{Message::Type::Assign, 0, msg.txn, 0});
-        break;
+  /// Feeds the endpoint until its open transaction closes.  The wait is
+  /// a monotonic deadline that the endpoint decides to re-arm (see
+  /// TxnEndpoint::on_message), so the worst-case wait is bounded by
+  /// (partners × txn_timeout), not by inbound chatter.  Fault-free
+  /// waits block: every reply and Assign is bound to arrive.
+  void await_transaction() {
+    auto deadline =
+        std::chrono::steady_clock::now() + owner_.config_.txn_timeout;
+    while (endpoint_.state() != State::Idle) {
+      auto msg = buffered_message();
+      if (!msg.has_value())
+        msg = owner_.faults_on_
+                  ? owner_.mailboxes_[id_]->recv_until(deadline)
+                  : owner_.mailboxes_[id_]->recv();
+      if (msg.has_value()) {
+        if (endpoint_.on_message(*msg, load_, outbox_))
+          deadline =
+              std::chrono::steady_clock::now() + owner_.config_.txn_timeout;
+      } else {
+        // Silence for a whole deadline, or the mailbox closed: no
+        // message is coming.  An initiator's own transaction is always
+        // closed before the run can end, so a close finds only locked
+        // partners whose initiator already gave up on them.
+        if (obs::TraceBuffer* tb = tracer())
+          tb->instant(endpoint_.state() == State::Locked ? "txn_abort"
+                                                         : "txn_timeout",
+                      "fault", id_, endpoint_.txn());
+        endpoint_.on_deadline(load_, outbox_);
       }
-      case Message::Type::Refuse:
-        break;  // nothing was pending on it
-      case Message::Type::Assign:
-        if (completed_.count(msg.txn)) break;  // duplicate of an applied one
-        // Rolled-back (or unknown) transaction: the delta is lost.
-        // Mark the transaction closed so a duplicate of this Assign is
-        // not declared lost a second time.
-        account_lost(msg);
-        completed_.insert(msg.txn);
-        break;
-      case Message::Type::Invite:
-      case Message::Type::Shutdown:
-        DLB_ENSURE(false, "handle_stray is for transaction replies");
-    }
-  }
-
-  // Handling for a thread that is not itself waiting inside a
-  // transaction: accept the invite and lock until the Assign arrives.
-  void handle_idle(const Message& msg) {
-    switch (msg.type) {
-      case Message::Type::Invite: {
-        const std::uint32_t initiator = msg.from;
-        const std::uint64_t txn = msg.txn;
-        if (owner_.faults_on_ &&
-            (completed_.count(txn) || aborted_.count(txn))) {
-          // Duplicate invite for a transaction we already served:
-          // accepting again could double-apply its Assign.  Refuse.
-          send(initiator, Message{Message::Type::Refuse, 0, txn, 0});
-          ++stats_.refusals;
-          return;
-        }
-        send(initiator, Message{Message::Type::Accept, 0, txn, load_});
-        // Span: accepted -> Assign applied (or rollback).  Renders on
-        // this worker's track next to the initiator's balance_txn span.
-        const obs::ScopedTimer lock_span(nullptr, tracer(), "partner_lock",
-                                         "txn", id_, txn);
-        // Locked: the pre-image of the load is simply load_ — nothing
-        // mutates until the Assign lands, so rolling back on a missing
-        // Assign means unlocking unchanged.  Answer only this
-        // transaction; refuse everything else.  The wait is a monotonic
-        // deadline, re-armed on every delivered message: traffic proves
-        // the initiator's side of the system is alive, silence for a
-        // whole txn_timeout proves the Assign is not coming.
-        auto deadline =
-            std::chrono::steady_clock::now() + owner_.config_.txn_timeout;
-        while (true) {
-          auto next = buffered_message();
-          if (!next.has_value())
-            next = owner_.faults_on_
-                       ? owner_.mailboxes_[id_]->recv_until(deadline)
-                       : owner_.mailboxes_[id_]->recv();
-          if (next.has_value())
-            deadline = std::chrono::steady_clock::now() +
-                       owner_.config_.txn_timeout;
-          if (!next.has_value()) {
-            if (owner_.faults_on_) {
-              // Missing Assign: roll back.  If it straggles in later it
-              // is discarded and its delta declared lost.
-              if (obs::TraceBuffer* tb = tracer())
-                tb->instant("txn_abort", "fault", id_, txn);
-              ++stats_.timeouts;
-              ++stats_.aborted_ops;
-              aborted_.insert(txn);
-              return;
-            }
-            DLB_ENSURE(false, "mailbox closed mid-transaction");
-          }
-          if (next->type == Message::Type::Assign && next->txn == txn) {
-            load_ += next->load;  // delta against the offered pre-image
-            l_old_ = load_;
-            if (owner_.faults_on_) completed_.insert(txn);
-            return;
-          }
-          if (next->type == Message::Type::Invite) {
-            send(next->from,
-                 Message{Message::Type::Refuse, 0, next->txn, 0});
-            ++stats_.refusals;
-            continue;
-          }
-          if (owner_.faults_on_) {
-            if (next->type == Message::Type::Shutdown) {
-              // Shutdown can only overtake a pending Assign when the
-              // initiator already gave up on us: roll back, and re-queue
-              // the Shutdown so the serve loop (which is waiting on it)
-              // still terminates.
-              ++stats_.aborted_ops;
-              aborted_.insert(txn);
-              owner_.mailboxes_[id_]->send(*next);
-              return;
-            }
-            handle_stray(*next);
-            continue;
-          }
-          DLB_ENSURE(next->type != Message::Type::Shutdown,
-                     "shutdown during a pending transaction");
-          // Stale Accept/Refuse from an earlier aborted exchange cannot
-          // occur: every transaction completes before the next begins.
-          DLB_ENSURE(false, "unexpected message while locked");
-        }
-      }
-      case Message::Type::Accept:
-      case Message::Type::Refuse:
-      case Message::Type::Assign:
-        if (owner_.faults_on_) {
-          handle_stray(msg);
-          return;
-        }
-        DLB_ENSURE(false, "transaction reply without a transaction");
-        return;
-      case Message::Type::Shutdown:
-        return;
+      flush_outbox();
     }
   }
 
   void maybe_balance() {
-    const bool grew = load_ > l_old_ &&
-                      static_cast<double>(load_) >=
-                          owner_.config_.f * static_cast<double>(l_old_);
-    const bool shrank = load_ < l_old_ && l_old_ >= 1 &&
-                        static_cast<double>(load_) <=
-                            static_cast<double>(l_old_) / owner_.config_.f;
-    if (!grew && !shrank) return;
-    initiate_balance();
+    if (!endpoint_.triggered(load_, owner_.config_.f)) return;
+    const std::uint64_t txn =
+        (static_cast<std::uint64_t>(id_ + 1) << 32) | ++txn_counter_;
+    // Span: whole Invite/Accept-or-Refuse/Assign exchange, histogram
+    // threaded.txn_ns when metrics are attached.
+    const obs::ScopedTimer txn_span(owner_.txn_hist_, tracer(),
+                                    "balance_txn", "txn", id_, txn);
+    draw_partners();
+    endpoint_.start(txn, partners_, load_, outbox_);
+    flush_outbox();
+    await_transaction();
   }
 
   /// Partner draw into the warm partners_ scratch.  Fault-free: the
@@ -385,164 +305,26 @@ class ThreadedSystem::Worker {
     }
   }
 
-  void initiate_balance() {
-    const std::uint64_t txn =
-        (static_cast<std::uint64_t>(id_ + 1) << 32) | ++txn_counter_;
-    // Span: whole Invite/Accept-or-Refuse/Assign exchange, histogram
-    // threaded.txn_ns when metrics are attached.
-    const obs::ScopedTimer txn_span(owner_.txn_hist_, tracer(),
-                                    "balance_txn", "txn", id_, txn);
-    draw_partners();
-    if (partners_.empty()) {
-      l_old_ = load_;
-      return;
-    }
-    for (std::uint32_t q : partners_)
-      send(q, Message{Message::Type::Invite, 0, txn, 0});
-
-    // Transaction scratch: member buffers, warm across operations (one
-    // transaction at a time per worker — invites arriving mid-wait are
-    // refused, never served, so these never see nested use).
-    std::vector<std::uint32_t>& accepted = accepted_;
-    std::vector<std::int64_t>& partner_loads = partner_loads_;
-    std::vector<std::uint32_t>& replied = replied_;
-    accepted.clear();
-    partner_loads.clear();
-    replied.clear();
-    std::size_t pending = partners_.size();
-    // One monotonic deadline for the whole collection, re-armed only
-    // when a pending reply actually resolves: strays and duplicates
-    // cannot keep postponing the verdict, so the worst-case wait is
-    // bounded by (partners × txn_timeout), not by inbound chatter.
-    auto deadline =
-        std::chrono::steady_clock::now() + owner_.config_.txn_timeout;
-    while (pending > 0) {
-      const std::size_t pending_before = pending;
-      auto msg = buffered_message();
-      if (!msg.has_value())
-        msg = owner_.faults_on_
-                  ? owner_.mailboxes_[id_]->recv_until(deadline)
-                  : owner_.mailboxes_[id_]->recv();
-      if (!msg.has_value()) {
-        if (owner_.faults_on_) {
-          // Silence for a whole deadline: every partner still pending
-          // is treated as Refuse (dead, or its reply was lost).  A
-          // straggling Accept will be rolled back as a stray.
-          if (obs::TraceBuffer* tb = tracer())
-            tb->instant("txn_timeout", "fault", id_, txn);
-          ++stats_.timeouts;
-          break;
-        }
-        DLB_ENSURE(false, "mailbox closed mid-transaction");
-      }
-      switch (msg->type) {
-        case Message::Type::Accept:
-          if (owner_.faults_on_ && msg->txn != txn) {
-            handle_stray(*msg);  // stale: unlock the sender
-            break;
-          }
-          if (owner_.faults_on_ &&
-              std::find(replied.begin(), replied.end(), msg->from) !=
-                  replied.end()) {
-            // Duplicate Accept of the LIVE transaction: the real Assign
-            // is still coming, so no rollback — unlocking the partner
-            // early would make it discard that Assign as a duplicate
-            // and leak the delta out of the ledger.
-            break;
-          }
-          DLB_ENSURE(msg->txn == txn, "accept for a stale transaction");
-          replied.push_back(msg->from);
-          accepted.push_back(msg->from);
-          partner_loads.push_back(msg->load);
-          --pending;
-          break;
-        case Message::Type::Refuse:
-          if (owner_.faults_on_ &&
-              (msg->txn != txn ||
-               std::find(replied.begin(), replied.end(), msg->from) !=
-                   replied.end())) {
-            break;  // stale or duplicate refusal: nothing pending on it
-          }
-          DLB_ENSURE(msg->txn == txn, "refuse for a stale transaction");
-          replied.push_back(msg->from);
-          --pending;
-          break;
-        case Message::Type::Invite:
-          // We are busy initiating: refuse, which breaks wait cycles.
-          send(msg->from, Message{Message::Type::Refuse, 0, msg->txn, 0});
-          ++stats_.refusals;
-          break;
-        case Message::Type::Assign:
-          if (owner_.faults_on_) {
-            handle_stray(*msg);
-            break;
-          }
-          DLB_ENSURE(false, "unexpected message while initiating");
-          break;
-        case Message::Type::Shutdown:
-          DLB_ENSURE(false, "unexpected message while initiating");
-      }
-      if (pending < pending_before)
-        deadline =
-            std::chrono::steady_clock::now() + owner_.config_.txn_timeout;
-    }
-
-    if (accepted.empty()) {
-      l_old_ = load_;
-      return;
-    }
-    std::int64_t pool = load_;
-    for (std::int64_t l : partner_loads) pool += l;
-    const auto m = static_cast<std::int64_t>(accepted.size()) + 1;
-    const std::int64_t base = pool / m;
-    std::int64_t remainder = pool % m;
-    // The initiator takes a remainder packet first, then partners in
-    // order; any deterministic rule keeps loads within +/-1.
-    load_ = base + (remainder > 0 ? 1 : 0);
-    if (remainder > 0) --remainder;
-    for (std::size_t k = 0; k < accepted.size(); ++k) {
-      const std::int64_t share =
-          base + (static_cast<std::int64_t>(k) <
-                          remainder
-                      ? 1
-                      : 0);
-      // Assign carries the delta against the partner's offered load: an
-      // undelivered Assign then rolls back cleanly on the partner (its
-      // pre-image stands) and the delta is declared lost at the drop.
-      send(accepted[k], Message{Message::Type::Assign, 0, txn,
-                                share - partner_loads[k]});
-    }
-    if (owner_.faults_on_) assigned_.emplace(txn, accepted);
-    l_old_ = load_;
-    ++stats_.balance_ops;
-  }
-
   std::uint32_t id_;
   ThreadedSystem& owner_;
   const Trace& trace_;
   Rng rng_;
   std::int64_t load_ = 0;
-  std::int64_t l_old_ = 0;
   std::uint64_t txn_counter_ = 0;
   ThreadedStats stats_;
+  TxnEndpoint endpoint_;
   // Reusable buffer for the batched mailbox drain (warm across calls)
   // plus the consumption cursor (see buffered_message()).
-  std::vector<Message> drain_buf_;
+  std::vector<TxnMessage> drain_buf_;
   std::size_t drain_pos_ = 0;
-  // Transaction scratch (see initiate_balance) and the step loop's
-  // allocation tally.
+  // Partner-draw and outbox scratch, and the step loop's allocation
+  // tally.
   std::vector<std::uint32_t> partners_;
-  std::vector<std::uint32_t> accepted_;
-  std::vector<std::int64_t> partner_loads_;
-  std::vector<std::uint32_t> replied_;
+  std::vector<TxnMessage> outbox_;
   obs::AllocTally alloc_;
   // Fault-mode state (untouched in fault-free runs).
   std::vector<LinkFaultState> links_;
-  std::vector<std::optional<Message>> held_;
-  std::unordered_set<std::uint64_t> completed_;
-  std::unordered_set<std::uint64_t> aborted_;
-  // Initiator side: txn -> partners that received a real Assign.
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> assigned_;
+  std::vector<std::optional<TxnMessage>> held_;
 };
 
 ThreadedSystem::ThreadedSystem(std::uint32_t processors,
@@ -559,14 +341,6 @@ ThreadedSystem::ThreadedSystem(std::uint32_t processors,
                     c.rank < static_cast<int>(processors_),
                 "crash rank out of range");
   faults_on_ = config_.faults.enabled();
-  mailboxes_.reserve(processors_);
-  for (std::uint32_t p = 0; p < processors_; ++p) {
-    mailboxes_.push_back(std::make_unique<Mailbox<Message>>());
-    // Warm the ring past any realistic in-flight depth (each peer keeps
-    // at most one transaction open: one Invite plus one Assign toward
-    // us, plus our own replies) so steady-state traffic never grows it.
-    mailboxes_.back()->reserve(2 * static_cast<std::size_t>(processors_));
-  }
   dead_ = std::make_unique<std::atomic<std::uint8_t>[]>(processors_);
 }
 
@@ -584,6 +358,15 @@ void ThreadedSystem::run(const Trace& trace) {
   for (std::uint32_t p = 0; p < processors_; ++p)
     dead_[p].store(0, std::memory_order_release);
   journal_ = LoadJournal(processors_, config_.faults.journal_interval);
+  // Fresh mailboxes per run: closing them is how a run ends.
+  mailboxes_.clear();
+  for (std::uint32_t p = 0; p < processors_; ++p) {
+    mailboxes_.push_back(std::make_unique<Mailbox<TxnMessage>>());
+    // Warm the ring past any realistic in-flight depth (each peer keeps
+    // at most one transaction open: one Invite plus one Assign toward
+    // us, plus our own replies) so steady-state traffic never grows it.
+    mailboxes_.back()->reserve(2 * static_cast<std::size_t>(processors_));
+  }
   txn_hist_ =
       metrics_ != nullptr ? &metrics_->histogram("threaded.txn_ns") : nullptr;
   if (trace_ != nullptr && trace_->enabled())
@@ -605,14 +388,12 @@ void ThreadedSystem::run(const Trace& trace) {
   // Wait until every worker finished its trace column (or died at its
   // scheduled step).  A live worker only increments done_count_ after
   // completing all transactions it initiated, so once the count reaches
-  // n there are no in-flight invites from finished workers; any
-  // still-queued invites are answered by the serve loops before
-  // Shutdown is processed (FIFO mailboxes).  Invites addressed to dead
+  // n no new invite can be sent; messages still queued are served
+  // before a closed mailbox reports empty.  Invites addressed to dead
   // workers are reclaimed by the initiator's deadline.
   while (done_count_.load(std::memory_order_acquire) < processors_)
     std::this_thread::yield();
-  for (std::uint32_t p = 0; p < processors_; ++p)
-    mailboxes_[p]->send(Message{Message::Type::Shutdown, p, 0, 0});
+  for (auto& mailbox : mailboxes_) mailbox->close();
   for (auto& thread : threads) thread.join();
 
   final_loads_.assign(processors_, 0);
@@ -620,7 +401,7 @@ void ThreadedSystem::run(const Trace& trace) {
   for (std::uint32_t p = 0; p < processors_; ++p) {
     final_loads_[p] = processor_dead(p) ? journal_.recovered_load(p)
                                         : workers[p]->final_load();
-    const ThreadedStats& ws = workers[p]->stats();
+    const ThreadedStats ws = workers[p]->stats();
     stats_.balance_ops += ws.balance_ops;
     stats_.refusals += ws.refusals;
     stats_.messages += ws.messages;

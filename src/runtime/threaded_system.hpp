@@ -7,29 +7,19 @@
 // distributed-memory implementation ([7]'s transputer networks) would
 // have, compressed onto one machine.
 //
-// Balancing is a three-message transaction:
-//   Invite(txn)  initiator -> each of the delta partners
-//   Accept(load) / Refuse   partner  -> initiator
-//   Assign(delta)           initiator -> each accepting partner
-// Deadlock freedom: a thread that is waiting (either for Accept/Refuse
-// replies as an initiator, or for its Assign as a locked partner) answers
-// every incoming Invite with Refuse, so no waits-for cycle can form; an
-// initiator simply proceeds with the partners that accepted.  Load
-// conservation holds because an accepting partner is locked (mutates
-// nothing) between its Accept and its Assign.
+// Balancing is the Invite/Accept/Assign transaction of
+// core/txn_protocol: each thread owns one TxnEndpoint and feeds it the
+// messages from its mailbox.  A thread waiting inside a transaction (for
+// replies as an initiator, or for its Assign as a locked partner) keeps
+// feeding it, so it refuses every incoming Invite and no waits-for cycle
+// can form.
 //
 // Failure tolerance (config.faults, a mp/fault.hpp FaultPlan): with a
-// fault plan installed the transaction survives lossy links and dying
-// partners.  Assign carries a *delta* against the load the partner
-// offered in its Accept, and every wait inside a transaction gets a
-// deadline:
-//   - an initiator that times out treats the silent partners as Refuse
-//     and proceeds with the rest; a late Accept is answered with a
-//     rollback Assign(0) so the partner unlocks unchanged;
-//   - a locked partner that times out rolls back to the pre-image of
-//     its load (it never mutated, so unlocking IS the rollback), marks
-//     the transaction aborted, and discards the Assign if it straggles
-//     in later — the discarded delta is declared lost;
+// fault plan installed the endpoints run fault-tolerant and every wait
+// inside a transaction gets a steady_clock deadline, so transactions
+// survive lossy links and dying partners (the rules are in
+// core/txn_protocol.hpp and DESIGN.md §7).  This class adds the parts
+// that need a machine:
 //   - a dropped Assign's delta is declared lost at the drop point, so
 //     total load is conserved modulo the declared-lost ledger:
 //       sum(final) == generated - consumed - lost_load
@@ -39,8 +29,7 @@
 //     partner draws (redrawing uniformly over the live processors), and
 //     invites addressed to it simply time out.
 // Without a plan every code path is byte-identical to the fault-free
-// implementation (blocking waits, absolute-assign arithmetic equal to
-// the delta form, no journal writes).
+// implementation (blocking waits, no journal writes).
 //
 // The threaded runtime implements the practical total-load variant of the
 // algorithm (trigger on the factor-f drift of the local load, like [7]);
@@ -56,6 +45,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/txn_protocol.hpp"
 #include "metrics/recorder.hpp"
 #include "mp/fault.hpp"
 #include "obs/metrics.hpp"
@@ -134,26 +124,12 @@ class ThreadedSystem {
   bool processor_dead(std::uint32_t p) const;
 
  private:
-  struct Message {
-    enum class Type : std::uint8_t {
-      Invite,
-      Accept,
-      Refuse,
-      Assign,
-      Shutdown,
-    };
-    Type type = Type::Shutdown;
-    std::uint32_t from = 0;
-    std::uint64_t txn = 0;
-    std::int64_t load = 0;  // Accept: offered load; Assign: delta
-  };
-
   class Worker;
 
   std::uint32_t processors_;
   ThreadedConfig config_;
   bool faults_on_ = false;
-  std::vector<std::unique_ptr<Mailbox<Message>>> mailboxes_;
+  std::vector<std::unique_ptr<Mailbox<TxnMessage>>> mailboxes_;
   std::atomic<std::uint32_t> done_count_{0};
   std::unique_ptr<std::atomic<std::uint8_t>[]> dead_;
   LoadJournal journal_;
