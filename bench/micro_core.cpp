@@ -208,12 +208,24 @@ System make_sparse_system(std::uint32_t n, std::uint64_t seed) {
   return load_checkpoint(is, nullptr);
 }
 
-// The opposite regime, DESIGN.md §6's fully dense limit: every processor
-// holds one packet of *every* class, so each deal spans k = n columns.
-// This is where the compact machinery pays its overhead (per-entry keys,
-// merge passes) instead of reaping sparsity — the crossover the `dense`
-// BENCH_core.json row tracks.
-System make_dense_system(std::uint32_t n, std::uint64_t seed) {
+// Every class active on every processor, with 1..max_count packets of
+// each (seeded), so each deal spans k = n columns.
+System make_full_system(std::uint32_t n, std::uint64_t seed,
+                        std::uint64_t max_count) {
+  Rng stock_rng(seed + 1);
+  std::ostringstream body;
+  std::uint64_t total = 0;
+  for (std::uint32_t p = 0; p < n; ++p) {
+    std::ostringstream row;
+    std::uint64_t own = 0;
+    for (std::uint32_t j = 0; j < n; ++j) {
+      const std::uint64_t count = 1 + stock_rng.below(max_count);
+      if (j == p) own = count;
+      total += count;
+      row << j << ' ' << count << " 0" << (j + 1 < n ? " " : "\n");
+    }
+    body << own << " 0 " << n << '\n' << row.str();  // l_old = d[p][p]
+  }
   std::ostringstream os;
   os << "dlb-checkpoint 2\n";
   os << n << ' ' << 4 << ' ' << 4 << ' ' << 0 << '\n';
@@ -222,16 +234,29 @@ System make_dense_system(std::uint32_t n, std::uint64_t seed) {
   const auto rng_state = Rng(seed).state();
   os << rng_state[0] << ' ' << rng_state[1] << ' ' << rng_state[2] << ' '
      << rng_state[3] << '\n';
-  os << static_cast<std::uint64_t>(n) * n << " 0 0\n";
+  os << total << " 0 0\n";
   os << "0 0 0 0 0 0\n";
   os << -1 << '\n';
-  for (std::uint32_t p = 0; p < n; ++p) {
-    os << "1 0 " << n << '\n';  // l_old = d[p][p] = 1, n sparse entries
-    for (std::uint32_t j = 0; j < n; ++j)
-      os << j << " 1 0" << (j + 1 < n ? " " : "\n");
-  }
+  os << body.str();
   std::istringstream is(os.str());
   return load_checkpoint(is, nullptr);
+}
+
+// The opposite regime, DESIGN.md §6's fully dense limit: every processor
+// holds one packet of *every* class, so each deal spans k = n columns.
+// This is where the compact machinery pays its overhead (per-entry keys,
+// merge passes) instead of reaping sparsity — the crossover the `dense`
+// BENCH_core.json row tracks.
+System make_dense_system(std::uint32_t n, std::uint64_t seed) {
+  return make_full_system(n, seed, 1);
+}
+
+// Dense with 1..8 packets per (processor, class): unlike the all-ones
+// matrix, whose columns are already even, every deal here moves packets
+// between participants, so per-pair flow work (when some consumer needs
+// it) shows in the timing.
+System make_uneven_dense_system(std::uint32_t n, std::uint64_t seed) {
+  return make_full_system(n, seed, 8);
 }
 
 // The borrow-path regime serving traffic lives in (~97% of its consumes
@@ -307,14 +332,16 @@ CoreTimings measure_borrow(std::uint32_t n) {
 }
 
 // Own-class generate/consume only (no balancing), in visiting order.
+// `recorder` (may be null) is attached to every timed system.
 CoreTimings measure_events(std::uint32_t n,
                            System (*make_system)(std::uint32_t,
                                                  std::uint64_t),
-                           bool shuffled) {
+                           bool shuffled, Recorder* recorder = nullptr) {
   const std::vector<std::uint32_t> order = visit_order(n, shuffled);
   CoreTimings out;
   out.balance_ns = -1;
   System sys = make_system(n, 4);
+  sys.attach_recorder(recorder);
   const std::uint64_t event_iters = 200000;
   out.generate_ns = time_ns_per_op(
       event_iters, [&](std::uint64_t i) { sys.generate(order[i % n]); });
@@ -327,8 +354,9 @@ CoreTimings measure_events(std::uint32_t n,
 
 CoreTimings measure_core(std::uint32_t n,
                          System (*make_system)(std::uint32_t,
-                                               std::uint64_t)) {
-  CoreTimings out = measure_events(n, make_system, false);
+                                               std::uint64_t),
+                         Recorder* recorder = nullptr) {
+  CoreTimings out = measure_events(n, make_system, false, recorder);
   // Balancing is timed in short batches over fresh systems: a long
   // force_balance loop would smear packets across ever more classes and
   // measure a self-inflicted dense regime instead of the workload the
@@ -339,6 +367,7 @@ CoreTimings measure_core(std::uint32_t n,
   double balance_total_ns = 0;
   for (std::uint64_t done = 0; done < total_ops; done += ops_per_batch) {
     System sys = make_system(n, 4 + done);
+    sys.attach_recorder(recorder);
     balance_total_ns +=
         time_ns_per_op(ops_per_batch, [&](std::uint64_t i) {
           sys.force_balance(static_cast<std::uint32_t>(
@@ -350,6 +379,17 @@ CoreTimings measure_core(std::uint32_t n,
   }
   out.balance_ns = balance_total_ns / static_cast<double>(total_ops);
   return out;
+}
+
+// The uneven dense system with a recorder attached that takes no
+// migrations: the paper figures' shape (a MultiRecorder over load and op
+// observers).  Beside the detached `dense_uneven` row it shows what
+// attached-but-silent observation costs a deal.
+CoreTimings measure_uneven_attached(std::uint32_t n) {
+  ActivityRecorder activity;
+  MultiRecorder attached;
+  attached.attach(&activity);
+  return measure_core(n, make_uneven_dense_system, &attached);
 }
 
 struct BenchRow {
@@ -371,7 +411,12 @@ void write_bench_json(const char* path) {
       << "consume visiting processors in a seeded random order (no "
       << "prefetchable stream)\", \"borrow\": \"four foreign classes per "
       << "processor, none of its own, cap 4: consume_ns is the borrow "
-      << "path, generate_ns the marker repayment, random order\"},"
+      << "path, generate_ns the marker repayment, random order\", "
+      << "\"dense_uneven\": \"every class active, 1..8 packets per "
+      << "(processor, class), delta=4: every deal moves packets\", "
+      << "\"dense_uneven_attached\": \"dense_uneven with a recorder "
+      << "attached that takes no migrations (a MultiRecorder over an "
+      << "ActivityRecorder)\"},"
       << "\n  \"results\": [";
   const BenchRow rows[] = {
       {"sparse", 64, [](std::uint32_t n) {
@@ -382,6 +427,9 @@ void write_bench_json(const char* path) {
          return measure_core(n, make_sparse_system); }},
       {"dense", 64, [](std::uint32_t n) {
          return measure_core(n, make_dense_system); }},
+      {"dense_uneven", 64, [](std::uint32_t n) {
+         return measure_core(n, make_uneven_dense_system); }},
+      {"dense_uneven_attached", 64, measure_uneven_attached},
       {"sparse_cold", 16384, [](std::uint32_t n) {
          return measure_events(n, make_sparse_system, true); }},
       {"borrow", 16384, measure_borrow},

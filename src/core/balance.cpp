@@ -33,25 +33,25 @@ T* grown(std::vector<T>& v, std::size_t n) {
 }
 
 // Books the per-pair flows of the real-packet deal: hop-weighted costs
-// and the migration recorder attribute traffic to processor pairs.
+// and the migration sink attribute traffic to processor pairs.
 class PairFlows final : public SnakeFlowSink {
  public:
-  PairFlows(CostLedger& costs, Recorder* recorder,
+  PairFlows(CostLedger& costs, MigrationSink* sink,
             const std::vector<ProcId>& participants)
-      : costs_(costs), recorder_(recorder), participants_(participants) {}
+      : costs_(costs), sink_(sink), participants_(participants) {}
 
   void on_flow(std::size_t col, std::size_t from, std::size_t to,
                std::int64_t amount) override {
     (void)col;
     const auto count = static_cast<std::uint64_t>(amount);
     costs_.record_migration(participants_[from], participants_[to], count);
-    if (recorder_ != nullptr)
-      recorder_->on_migration(participants_[from], participants_[to], count);
+    if (sink_ != nullptr)
+      sink_->on_migration(participants_[from], participants_[to], count);
   }
 
  private:
   CostLedger& costs_;
-  Recorder* recorder_;
+  MigrationSink* sink_;
   const std::vector<ProcId>& participants_;
 };
 
@@ -157,12 +157,12 @@ SnakeDeal deal_participants(BalanceScratch& scratch, CostLedger& costs,
   }
 
   // Pass 2: deal.  Pair attribution is only needed for hop weighting and
-  // the migration recorder; without either, the gross moves are booked
-  // in one bulk record (same totals).
+  // a migration sink; without either, the gross moves are booked in one
+  // bulk record (same totals).
   scratch.row_delta.assign(m, 0);
   opts.row_delta = scratch.row_delta.data();
-  PairFlows pair_flows(costs, options.recorder, scratch.participants);
-  const bool per_pair = options.recorder != nullptr || costs.hop_weighted();
+  PairFlows pair_flows(costs, options.sink, scratch.participants);
+  const bool per_pair = options.sink != nullptr || costs.hop_weighted();
   if (per_pair) opts.flows = &pair_flows;
   const SnakeDeal dealt = snake_redistribute(d, m, k, opts);
   if (!per_pair && dealt.moved > 0) costs.record_migration_bulk(dealt.moved);

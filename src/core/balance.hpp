@@ -70,12 +70,12 @@ struct DealOptions {
   /// dealt only among the other participants.
   bool analysis_mode = false;
   /// Optional: receives the per-pair migrations.
-  Recorder* recorder = nullptr;
+  MigrationSink* sink = nullptr;
 };
 
 /// Deals the packets and borrow markers of scratch.ledgers (ledger r
 /// belongs to processor scratch.participants[r]) in place and books the
-/// migration traffic in `costs`: per-pair migrations when a recorder or
+/// migration traffic in `costs`: per-pair migrations when a sink or
 /// hop-weighted costs need the attribution, one bulk record otherwise,
 /// plus the net flow.  Returns the final dealing pointer and the gross
 /// packet moves.

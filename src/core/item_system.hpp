@@ -8,8 +8,9 @@
 // change of an embedded System:
 //   produce(p, item)  -> System::generate(p)   + push item on p
 //   consume(p)        -> System::consume(p)    + pop an item from p
-//   balancing/borrow migrations (reported through the Recorder's
-//   on_migration hook) move the corresponding items between deques.
+//   balancing/borrow migrations (reported to the MigrationSink it hands
+//   the System as its recorder) move the corresponding items between
+//   deques.
 // Migrated items are taken from the back of the sender's deque (newest
 // first, the work-stealing convention that keeps old/cheap items local).
 //
@@ -26,7 +27,7 @@
 namespace dlb {
 
 template <typename T>
-class ItemSystem final : private Recorder {
+class ItemSystem final : private Recorder, private MigrationSink {
  public:
   /// `topology` (optional) enables hop-cost accounting and neighborhood
   /// partner restriction, exactly as for System.
@@ -98,6 +99,8 @@ class ItemSystem final : private Recorder {
   }
 
  private:
+  MigrationSink* migration_sink() override { return this; }
+
   // Consume pops oldest-first; migration takes newest-first, so freshly
   // spawned (typically deepest/most speculative) work travels.
   void on_migration(std::uint32_t from, std::uint32_t to,

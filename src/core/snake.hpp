@@ -50,7 +50,7 @@ struct SnakeOptions {
 /// column is dealt, its surplus rows are greedily matched (both sides in
 /// ascending row order) against its deficit rows and each resulting flow
 /// is reported once.  Only callers that attribute traffic to processor
-/// pairs (a migration recorder, hop-weighted costs) attach one; the
+/// pairs (a MigrationSink, hop-weighted costs) attach one; the
 /// aggregate accounting (row deltas, gross moves) needs no sink.
 class SnakeFlowSink {
  public:

@@ -364,8 +364,8 @@ void System::remote_exchange(std::uint32_t p, std::uint32_t j, Rng& rng) {
   touch_load(j);
   costs_.record_migration(j, p, static_cast<std::uint64_t>(x));
   costs_.record_net_migration(static_cast<std::uint64_t>(x));
-  if (recorder_ != nullptr)
-    recorder_->on_migration(j, p, static_cast<std::uint64_t>(x));
+  if (MigrationSink* sink = migration_sink())
+    sink->on_migration(j, p, static_cast<std::uint64_t>(x));
   std::int64_t to_clear = x;
   if (debtor.b(j) > 0) {
     debtor.clear_marker(j);
@@ -512,7 +512,7 @@ void System::balance_deal(std::uint32_t initiator,
   DealOptions options;
   options.start = static_cast<std::size_t>(rng.below(participants.size()));
   options.analysis_mode = config_.analysis_mode;
-  options.recorder = recorder_;
+  options.sink = migration_sink();
   const std::uint64_t moved =
       deal_participants(scratch, costs, options).moved;
 

@@ -310,6 +310,12 @@ class System {
 
   void emit_borrow_event(BorrowEvent event);
 
+  // The attached recorder's migration sink, asked afresh for every
+  // operation (a MultiRecorder may gain a listening child in between).
+  MigrationSink* migration_sink() const {
+    return recorder_ != nullptr ? recorder_->migration_sink() : nullptr;
+  }
+
   // Per-step active-processor accounting (gauge + distribution).
   void note_active(std::size_t active);
 

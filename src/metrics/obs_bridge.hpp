@@ -20,12 +20,13 @@ namespace dlb {
 ///   fault.{timeouts,aborted_ops,lost_packets,ranks_dead}
 /// Counter references are resolved once at construction; the hooks are
 /// then lock-free.
-class MetricsRecorder final : public Recorder {
+class MetricsRecorder final : public Recorder, public MigrationSink {
  public:
   explicit MetricsRecorder(obs::MetricsRegistry& registry);
 
   void on_balance_op(std::uint32_t initiator, std::size_t partners,
                      std::uint64_t packets_moved) override;
+  MigrationSink* migration_sink() override { return this; }
   void on_migration(std::uint32_t from, std::uint32_t to,
                     std::uint64_t count) override;
   void on_borrow_event(BorrowEvent event) override;

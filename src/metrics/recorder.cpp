@@ -63,9 +63,17 @@ void MultiRecorder::on_balance_op(std::uint32_t initiator,
                                                   packets_moved);
 }
 
+MigrationSink* MultiRecorder::migration_sink() {
+  sinks_.clear();
+  for (Recorder* r : recorders_)
+    if (MigrationSink* sink = r->migration_sink()) sinks_.push_back(sink);
+  if (sinks_.empty()) return nullptr;
+  return this;
+}
+
 void MultiRecorder::on_migration(std::uint32_t from, std::uint32_t to,
                                  std::uint64_t count) {
-  for (Recorder* r : recorders_) r->on_migration(from, to, count);
+  for (MigrationSink* sink : sinks_) sink->on_migration(from, to, count);
 }
 
 void MultiRecorder::on_borrow_event(BorrowEvent event) {

@@ -59,6 +59,38 @@ struct BorrowCounters {
   BorrowCounters& operator+=(const BorrowCounters& other);
 };
 
+/// Receives the packet migrations of a run, one call per (from, to)
+/// flow: every flow inside a balancing operation and every remote borrow
+/// exchange.
+///
+/// Contract:
+///   - Observing migrations is opt-in.  A Recorder that wants them
+///     returns a sink from Recorder::migration_sink(); the default
+///     returns null, and a run whose recorder has no sink never computes
+///     per-pair flows (the deal books one bulk cost record instead, with
+///     the same CostLedger totals).
+///   - The engine asks for the sink once per balancing operation and once
+///     per remote exchange, and uses it only until it next asks, so a
+///     recorder may start or stop listening between operations
+///     (MultiRecorder gaining a child, say).
+///   - Within one balancing operation the flows arrive column by column
+///     in ascending class order; within a column, surplus rows are
+///     matched greedily against deficit rows, both ascending.  Every
+///     flow has count > 0, and the counts of one operation add up to its
+///     gross packet moves.
+///   - A sink must not drive the System that calls it.
+class MigrationSink {
+ public:
+  /// `count` packets migrated from processor `from` to processor `to`.
+  /// Payload-carrying wrappers (core/item_system.hpp) use this to move
+  /// the actual objects.
+  virtual void on_migration(std::uint32_t from, std::uint32_t to,
+                            std::uint64_t count) = 0;
+
+ protected:
+  ~MigrationSink() = default;
+};
+
 /// Observer interface; all hooks default to no-ops.
 class Recorder {
  public:
@@ -85,16 +117,10 @@ class Recorder {
     (void)packets_moved;
   }
 
-  /// `count` packets migrated from processor `from` to processor `to`
-  /// (fired for every flow inside a balancing operation and for remote
-  /// borrow exchanges).  Payload-carrying wrappers (core/item_system.hpp)
-  /// use this to move the actual objects.
-  virtual void on_migration(std::uint32_t from, std::uint32_t to,
-                            std::uint64_t count) {
-    (void)from;
-    (void)to;
-    (void)count;
-  }
+  /// Where this recorder takes migrations, or null when it takes none
+  /// (see MigrationSink).  Recorders that observe migrations return
+  /// `this`.
+  virtual MigrationSink* migration_sink() { return nullptr; }
 
   virtual void on_borrow_event(BorrowEvent event) { (void)event; }
 
@@ -106,8 +132,9 @@ class Recorder {
   }
 };
 
-/// Fans hooks out to several recorders (non-owning).
-class MultiRecorder final : public Recorder {
+/// Fans hooks out to several recorders (non-owning).  Its migration sink
+/// reaches only the children that have one, and is null when none does.
+class MultiRecorder final : public Recorder, private MigrationSink {
  public:
   void attach(Recorder* recorder);
 
@@ -117,13 +144,17 @@ class MultiRecorder final : public Recorder {
                 const std::vector<std::int64_t>& loads) override;
   void on_balance_op(std::uint32_t initiator, std::size_t partners,
                      std::uint64_t packets_moved) override;
-  void on_migration(std::uint32_t from, std::uint32_t to,
-                    std::uint64_t count) override;
+  MigrationSink* migration_sink() override;
   void on_borrow_event(BorrowEvent event) override;
   void on_fault(FaultEvent event, std::uint64_t count) override;
 
  private:
+  void on_migration(std::uint32_t from, std::uint32_t to,
+                    std::uint64_t count) override;
+
   std::vector<Recorder*> recorders_;
+  // The children's sinks as of the last migration_sink() call.
+  std::vector<MigrationSink*> sinks_;
 };
 
 /// Figures 7/8: per-step statistics over (processor × run) observations.

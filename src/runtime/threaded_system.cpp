@@ -77,7 +77,7 @@ class ThreadedSystem::Worker {
     // keep serving transactions from slower threads until everyone is
     // done and the mailbox is closed.
     flush_held();
-    owner_.done_count_.fetch_add(1, std::memory_order_acq_rel);
+    owner_.mark_done();
     while (auto msg = owner_.mailboxes_[id_]->recv()) serve(*msg);
     // Transactions served while idling are steady-state work too;
     // account them against the final step so nothing hides post-loop.
@@ -131,7 +131,7 @@ class ThreadedSystem::Worker {
     stats_.lost_load += owner_.journal_.on_crash(id_);
     stats_.ranks_dead = 1;
     owner_.dead_[id_].store(1, std::memory_order_release);
-    owner_.done_count_.fetch_add(1, std::memory_order_acq_rel);
+    owner_.mark_done();
     while (auto msg = owner_.mailboxes_[id_]->recv())
       if (msg->type == TxnMsgType::Assign)
         endpoint_.on_message(*msg, load_, outbox_);
@@ -390,9 +390,11 @@ void ThreadedSystem::run(const Trace& trace) {
   // completing all transactions it initiated, so once the count reaches
   // n no new invite can be sent; messages still queued are served
   // before a closed mailbox reports empty.  Invites addressed to dead
-  // workers are reclaimed by the initiator's deadline.
-  while (done_count_.load(std::memory_order_acquire) < processors_)
-    std::this_thread::yield();
+  // workers are reclaimed by the initiator's deadline.  The coordinator
+  // sleeps on the count; every increment wakes it to re-check.
+  for (std::uint32_t done = done_count_.load(std::memory_order_acquire);
+       done < processors_; done = done_count_.load(std::memory_order_acquire))
+    done_count_.wait(done, std::memory_order_acquire);
   for (auto& mailbox : mailboxes_) mailbox->close();
   for (auto& thread : threads) thread.join();
 

@@ -126,6 +126,13 @@ class ThreadedSystem {
  private:
   class Worker;
 
+  // A worker finished its trace column (or died): count it and wake the
+  // coordinator waiting in run().
+  void mark_done() {
+    done_count_.fetch_add(1, std::memory_order_acq_rel);
+    done_count_.notify_one();
+  }
+
   std::uint32_t processors_;
   ThreadedConfig config_;
   bool faults_on_ = false;

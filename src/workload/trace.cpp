@@ -17,10 +17,31 @@ Trace::Trace(std::uint32_t processors, std::uint32_t horizon)
 }
 
 Trace Trace::record(const Workload& workload, Rng& rng) {
-  Trace trace(workload.processors(), workload.horizon());
+  const std::uint32_t n = workload.processors();
+  Trace trace(n, workload.horizon());
+  // Draws exactly what Workload::sample would, cell by cell, without its
+  // per-cell phase search: a processor's phases are sorted and disjoint,
+  // so one cursor per processor walks them forward with t.  A cell no
+  // phase covers draws nothing and stays zero (see schedule.hpp).
+  struct Cursor {
+    const Phase* at;
+    const Phase* end;
+  };
+  std::vector<Cursor> cursors(n);
+  for (std::uint32_t p = 0; p < n; ++p) {
+    const std::vector<Phase>& phases = workload.phases_of(p);
+    cursors[p] = {phases.data(), phases.data() + phases.size()};
+  }
   for (std::uint32_t t = 0; t < workload.horizon(); ++t) {
-    for (std::uint32_t p = 0; p < workload.processors(); ++p) {
-      trace.set(p, t, workload.sample(p, t, rng));
+    std::uint8_t* const row = trace.cells_.data() + trace.index(0, t);
+    for (std::uint32_t p = 0; p < n; ++p) {
+      Cursor& cur = cursors[p];
+      while (cur.at != cur.end && cur.at->end < t) ++cur.at;
+      if (cur.at == cur.end || cur.at->start > t) continue;
+      const bool generate = rng.bernoulli(cur.at->generate_prob);
+      const bool consume = rng.bernoulli(cur.at->consume_prob);
+      row[p] = static_cast<std::uint8_t>((generate ? 1u : 0u) |
+                                         (consume ? 2u : 0u));
     }
   }
   return trace;

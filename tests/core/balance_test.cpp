@@ -25,7 +25,7 @@ struct Flow {
   }
 };
 
-struct MigrationLog final : Recorder {
+struct MigrationLog final : MigrationSink {
   std::vector<Flow> flows;
   void on_migration(std::uint32_t from, std::uint32_t to,
                     std::uint64_t count) override {
@@ -115,7 +115,7 @@ Ledger random_ledger(Rng& rng, std::uint32_t n, bool wide, bool markers) {
 
 // Deals 400 random participant sets under one mode and checks each
 // against the dense reference.
-void check_mode(bool analysis_mode, bool with_recorder,
+void check_mode(bool analysis_mode, bool with_sink,
                 const Topology* topology, std::uint64_t seed) {
   constexpr std::uint32_t kClasses = 24;
   Rng rng(seed);
@@ -147,7 +147,7 @@ void check_mode(bool analysis_mode, bool with_recorder,
     DealOptions options;
     options.start = start;
     options.analysis_mode = analysis_mode;
-    options.recorder = with_recorder ? &log : nullptr;
+    options.sink = with_sink ? &log : nullptr;
     const SnakeDeal got = deal_participants(scratch, costs, options);
 
     SCOPED_TRACE("trial " + std::to_string(trial));
@@ -162,7 +162,7 @@ void check_mode(bool analysis_mode, bool with_recorder,
     EXPECT_EQ(costs.totals().packets_moved_net,
               want.totals.packets_moved_net);
     EXPECT_EQ(costs.totals().packet_hops, want.totals.packet_hops);
-    if (with_recorder) {
+    if (with_sink) {
       EXPECT_EQ(log.flows, want.flows);
     }
   }
@@ -172,7 +172,7 @@ void check_mode(bool analysis_mode, bool with_recorder,
 }
 
 // Every mode of the kernel: analysis-mode exclusion, the migration
-// recorder and hop-weighted costs (both need per-pair flows), each on and
+// sink and hop-weighted costs (both need per-pair flows), each on and
 // off, over m = 2..9 participants whose ledgers are inline or spilled,
 // with and without markers.
 TEST(BalanceDeal, MatchesDenseSnakeReference) {

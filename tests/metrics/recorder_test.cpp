@@ -151,7 +151,7 @@ TEST(MultiRecorder, FansOutAllHooks) {
 // A probe recording the raw arguments of the hooks MultiRecorder must
 // forward verbatim — on_migration and on_fault have no aggregating
 // recorder above to witness them.
-struct ProbeRecorder final : Recorder {
+struct ProbeRecorder final : Recorder, MigrationSink {
   struct Migration {
     std::uint32_t from, to;
     std::uint64_t count;
@@ -159,6 +159,7 @@ struct ProbeRecorder final : Recorder {
   std::vector<Migration> migrations;
   FaultCounters faults;
 
+  MigrationSink* migration_sink() override { return this; }
   void on_migration(std::uint32_t from, std::uint32_t to,
                     std::uint64_t count) override {
     migrations.push_back({from, to, count});
@@ -175,8 +176,10 @@ TEST(MultiRecorder, FansOutMigrationsToEveryAttachedRecorder) {
   multi.attach(&a);
   multi.attach(&b);
 
-  multi.on_migration(3, 7, 11);
-  multi.on_migration(7, 3, 2);
+  MigrationSink* sink = multi.migration_sink();
+  ASSERT_NE(sink, nullptr);
+  sink->on_migration(3, 7, 11);
+  sink->on_migration(7, 3, 2);
 
   for (const ProbeRecorder* probe : {&a, &b}) {
     ASSERT_EQ(probe->migrations.size(), 2u);
@@ -187,6 +190,39 @@ TEST(MultiRecorder, FansOutMigrationsToEveryAttachedRecorder) {
     EXPECT_EQ(probe->migrations[1].to, 3u);
     EXPECT_EQ(probe->migrations[1].count, 2u);
   }
+}
+
+// Migrations are opt-in: the fan-out's sink reaches only children that
+// have one, is null when none does (so a run skips pair flows), and is
+// asked afresh, so a child attached later is heard.
+TEST(MultiRecorder, SinkReachesOnlyListeningChildren) {
+  ActivityRecorder silent;
+  ProbeRecorder a;
+  ProbeRecorder b;
+  MultiRecorder multi;
+  EXPECT_EQ(multi.migration_sink(), nullptr);
+  multi.attach(&silent);
+  EXPECT_EQ(multi.migration_sink(), nullptr);
+  EXPECT_EQ(Recorder{}.migration_sink(), nullptr);
+
+  multi.attach(&a);
+  ASSERT_NE(multi.migration_sink(), nullptr);
+  multi.migration_sink()->on_migration(4, 5, 6);
+  EXPECT_EQ(a.migrations.size(), 1u);
+
+  multi.attach(&b);
+  MigrationSink* both = multi.migration_sink();
+  ASSERT_NE(both, nullptr);
+  both->on_migration(1, 2, 3);
+  EXPECT_EQ(a.migrations.size(), 2u);
+  EXPECT_EQ(b.migrations.size(), 1u);
+
+  MultiRecorder outer;
+  outer.attach(&multi);
+  outer.attach(&silent);
+  outer.migration_sink()->on_migration(2, 1, 5);
+  ASSERT_EQ(b.migrations.size(), 2u);
+  EXPECT_EQ(b.migrations[1].count, 5u);
 }
 
 TEST(MultiRecorder, FansOutFaultsToEveryAttachedRecorder) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "support/check.hpp"
+#include "workload/serving.hpp"
 
 namespace dlb {
 namespace {
@@ -27,6 +30,64 @@ TEST(Trace, RecordResolvesWorkloadDeterministically) {
   const Trace ta = Trace::record(wl, a);
   const Trace tb = Trace::record(wl, b);
   EXPECT_EQ(ta, tb);
+}
+
+// Phases separated by idle gaps, some silent (both probabilities zero)
+// and some certain (probability one), none on processor 0: the factories
+// above all tile each processor's horizon without gaps.
+Workload gappy_workload(std::uint32_t n, std::uint32_t horizon,
+                        std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<Phase>> phases(n);
+  for (std::uint32_t p = 1; p < n; ++p) {
+    std::uint32_t t = static_cast<std::uint32_t>(rng.below(20));
+    while (t < horizon) {
+      Phase ph;
+      ph.start = t;
+      ph.end = std::min<std::uint32_t>(
+          horizon - 1, t + static_cast<std::uint32_t>(rng.below(30)));
+      const std::uint64_t kind = rng.below(4);
+      ph.generate_prob = kind == 0 ? 0.0 : kind == 1 ? 1.0 : rng.uniform01();
+      ph.consume_prob = kind == 0 ? 0.0 : rng.uniform01();
+      phases[p].push_back(ph);
+      t = ph.end + 1 + static_cast<std::uint32_t>(rng.below(25));
+    }
+  }
+  return Workload(n, horizon, std::move(phases), "gappy");
+}
+
+// Trace::record walks each processor's phases with a cursor; it must pin
+// the same demand as sampling every (t, p) cell with Workload::sample.
+TEST(Trace, RecordMatchesPerCellSampling) {
+  Rng paper_rng(5);
+  ServingParams serving;
+  serving.sessions = 20'000;
+  const Workload workloads[] = {
+      Workload::paper_benchmark(64, 500, WorkloadParams{}, paper_rng),
+      ServingWorkload::build(48, 300, serving, 2027),
+      Workload::uniform(6, 120, 0.5, 0.3),
+      Workload::hotspot(16, 200, 3, 0.9, 0.2),
+      Workload::sparse_hotspot(64, 150, 5, 0.7, 0.4),
+      Workload::wave(32, 240, 8),
+      Workload::bursty(12, 200, 25, 0.8, 0.6),
+      Workload::flip_flop(10, 180, 30, 0.9, 0.7),
+      Workload::one_producer(9, 80),
+      gappy_workload(24, 300, 8),
+  };
+  for (const Workload& wl : workloads) {
+    SCOPED_TRACE(wl.name());
+    for (const std::uint64_t seed : {1u, 99u, 2026u}) {
+      Rng per_cell_rng(seed);
+      Trace want(wl.processors(), wl.horizon());
+      for (std::uint32_t t = 0; t < wl.horizon(); ++t)
+        for (std::uint32_t p = 0; p < wl.processors(); ++p)
+          want.set(p, t, wl.sample(p, t, per_cell_rng));
+      Rng rng(seed);
+      EXPECT_EQ(Trace::record(wl, rng), want);
+      // Both consumed the same draws, too.
+      EXPECT_EQ(rng.next(), per_cell_rng.next());
+    }
+  }
 }
 
 TEST(Trace, CountsMatchProbabilities) {
