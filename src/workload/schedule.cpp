@@ -47,7 +47,7 @@ void ActiveSchedule::compile(const Workload& workload, std::uint32_t first,
         continue;  // silent phase: no draws, no events (see header)
       if (ph.start >= horizon_) continue;  // never reached
       adds_.push_back(
-          Addition{ph.start, Entry{p, ph.generate_prob, ph.consume_prob}});
+          Addition{ph.start, p, ph.generate_prob, ph.consume_prob});
       // The run loop only visits t < horizon, so clamp the removal step
       // to horizon (also avoids end+1 overflow for end == UINT32_MAX).
       const auto rem_step = static_cast<std::uint32_t>(
@@ -91,15 +91,15 @@ const std::vector<ActiveSchedule::Entry>& ActiveSchedule::advance(
   std::size_t r = r0;
   while (i < active_.size() || a < add_i_) {
     if (a == add_i_ ||
-        (i < active_.size() && active_[i].proc < adds_[a].entry.proc)) {
+        (i < active_.size() && active_[i].proc < adds_[a].proc)) {
       if (r < rem_i_ && rems_[r].proc == active_[i].proc) {
         ++r;  // phase ended, nothing starts: drop
       } else {
         scratch_.push_back(active_[i]);
       }
       ++i;
-    } else if (i == active_.size() || adds_[a].entry.proc < active_[i].proc) {
-      scratch_.push_back(adds_[a].entry);
+    } else if (i == active_.size() || adds_[a].proc < active_[i].proc) {
+      scratch_.push_back(adds_[a].entry());
       ++a;
     } else {
       // Same processor: phases are disjoint, so the old one must end
@@ -107,7 +107,7 @@ const std::vector<ActiveSchedule::Entry>& ActiveSchedule::advance(
       DLB_ENSURE(r < rem_i_ && rems_[r].proc == active_[i].proc,
                  "overlapping phases in the compiled schedule");
       ++r;
-      scratch_.push_back(adds_[a].entry);
+      scratch_.push_back(adds_[a].entry());
       ++a;
       ++i;
     }

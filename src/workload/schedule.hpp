@@ -75,9 +75,14 @@ class ActiveSchedule {
   void compile(const Workload& workload, std::uint32_t first,
                std::uint32_t end, std::uint32_t step);
 
+  // A phase start, packed without Entry's padding (24 bytes, not 32):
+  // a serving schedule holds one per phase.
   struct Addition {
     std::uint32_t step;
-    Entry entry;
+    std::uint32_t proc;
+    double generate_prob;
+    double consume_prob;
+    Entry entry() const { return {proc, generate_prob, consume_prob}; }
   };
   struct Removal {
     std::uint32_t step;

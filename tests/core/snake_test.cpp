@@ -4,10 +4,8 @@
 
 #include <cstdint>
 #include <numeric>
-#include <tuple>
 
 #include "support/check.hpp"
-#include "support/rng.hpp"
 
 namespace dlb {
 namespace {
@@ -64,82 +62,11 @@ TEST(Snake, ConservesEveryClass) {
   expect_s1_s2(counts);
 }
 
-// Captures on_flow callbacks for inspection.
-struct RecordingSink final : SnakeFlowSink {
-  struct Flow {
-    std::size_t col;
-    std::size_t from;
-    std::size_t to;
-    std::int64_t amount;
-    bool operator==(const Flow& o) const {
-      return col == o.col && from == o.from && to == o.to &&
-             amount == o.amount;
-    }
-  };
-  std::vector<Flow> flows;
-  std::uint64_t total = 0;
-
-  void on_flow(std::size_t col, std::size_t from, std::size_t to,
-               std::int64_t amount) override {
-    flows.push_back({col, from, to, amount});
-    total += static_cast<std::uint64_t>(amount);
-  }
-};
-
-// Runs the compact overload on a column-major copy of `m` — column j
-// holds the rows' class-j counts, so cell (r, j) sits at j * rows + r —
-// returning the flat result, the continuation pointer, the gross moves,
-// the per-row deltas and the recorded flows.
-struct CompactRun {
-  std::vector<std::int64_t> counts;
-  std::size_t ptr;
-  std::uint64_t moved;
-  std::vector<std::int64_t> row_delta;
-  RecordingSink sink;
-};
-
-CompactRun run_compact(const Matrix& m, std::size_t start,
-                       const std::vector<std::size_t>* excluded = nullptr) {
-  CompactRun out;
-  const std::size_t rows = m.size();
-  const std::size_t cols = m[0].size();
-  out.counts.resize(rows * cols);
-  for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t j = 0; j < cols; ++j) out.counts[j * rows + r] = m[r][j];
-  out.row_delta.assign(rows, 0);
-  SnakeCompactOptions opts;
-  opts.start = start;
-  opts.row_delta = out.row_delta.data();
-  opts.flows = &out.sink;
-  if (excluded != nullptr) opts.excluded_row_per_column = excluded->data();
-  const SnakeDeal deal =
-      snake_redistribute(out.counts.data(), rows, cols, opts);
-  out.ptr = deal.ptr;
-  out.moved = deal.moved;
-  return out;
-}
-
-// The aggregate accounting of a compact run agrees with the dense result:
-// each row's delta is its row-total change and the gross moves are the
-// recorded pair flows' total.
-void expect_accounting(const CompactRun& run, const Matrix& before,
-                       const Matrix& after) {
-  for (std::size_t r = 0; r < before.size(); ++r)
-    EXPECT_EQ(run.row_delta[r], row_total(after, r) - row_total(before, r))
-        << "row " << r;
-  EXPECT_EQ(run.moved, run.sink.total);
-}
-
 TEST(Snake, AlreadyBalancedIsStable) {
   Matrix counts{{2, 2}, {2, 2}, {2, 2}};
   const Matrix before = counts;
   snake_redistribute(counts);
   EXPECT_EQ(counts, before);
-  // ... and the compact deal reports no flows on balanced input.
-  const CompactRun run = run_compact(before, 0);
-  EXPECT_TRUE(run.sink.flows.empty());
-  EXPECT_EQ(run.sink.total, 0u);
-  EXPECT_EQ(run.moved, 0u);
 }
 
 TEST(Snake, SingleParticipantIsIdentity) {
@@ -199,182 +126,6 @@ TEST(Snake, RejectsBadInputs) {
   opts.start = 5;
   EXPECT_THROW(snake_redistribute(ok, opts), contract_error);
 }
-
-TEST(SnakeFlows, ReportsReceivedPackets) {
-  // {4,0} / {0,2} with start 0 deals class 0 as 2/2 and class 1 as 1/1:
-  // 2 class-0 packets flow row0 -> row1 and 1 class-1 packet row1 -> row0.
-  const Matrix before{{4, 0}, {0, 2}};
-  const CompactRun run = run_compact(before, 0);
-  ASSERT_EQ(run.sink.flows.size(), 2u);
-  EXPECT_EQ(run.sink.flows[0], (RecordingSink::Flow{0, 0, 1, 2}));
-  EXPECT_EQ(run.sink.flows[1], (RecordingSink::Flow{1, 1, 0, 1}));
-  EXPECT_EQ(run.sink.total, 3u);
-  EXPECT_EQ(run.moved, 3u);
-  EXPECT_EQ(run.counts, (std::vector<std::int64_t>{2, 2, 1, 1}));
-  expect_accounting(run, before, {{2, 1}, {2, 1}});
-}
-
-TEST(SnakeFlows, CompactRejectsBadInputs) {
-  std::vector<std::int64_t> counts{1, 2};
-  SnakeCompactOptions opts;
-  EXPECT_THROW(snake_redistribute(nullptr, 1, 2, opts), contract_error);
-  EXPECT_THROW(snake_redistribute(counts.data(), 0, 2, opts), contract_error);
-  opts.start = 3;
-  EXPECT_THROW(snake_redistribute(counts.data(), 2, 1, opts), contract_error);
-  opts.start = 0;
-  counts[0] = -1;
-  EXPECT_THROW(snake_redistribute(counts.data(), 2, 1, opts), contract_error);
-  // An empty deal (no columns) needs no matrix.
-  EXPECT_EQ(snake_redistribute(nullptr, 2, 0, opts).ptr, 0u);
-}
-
-// All-zero columns must be invisible to the deal: same results for the
-// surviving columns, same continuation pointer, same flows.  This is the
-// property System::balance relies on when it restricts the deal to the
-// union of the participants' active classes.
-TEST(SnakeFlows, ZeroColumnsDoNotAffectDealOrPointer) {
-  const Matrix dense{{0, 4, 0, 0, 1}, {0, 0, 0, 2, 0}, {0, 7, 0, 0, 0}};
-  const Matrix compact{{4, 0, 1}, {0, 2, 0}, {7, 0, 0}};  // columns 1, 3, 4
-  const std::vector<std::size_t> col_map{1, 3, 4};
-  for (std::size_t start = 0; start < 3; ++start) {
-    const CompactRun dense_run = run_compact(dense, start);
-    const CompactRun compact_run = run_compact(compact, start);
-    EXPECT_EQ(dense_run.ptr, compact_run.ptr) << "start " << start;
-    ASSERT_EQ(dense_run.sink.flows.size(), compact_run.sink.flows.size());
-    for (std::size_t i = 0; i < dense_run.sink.flows.size(); ++i) {
-      RecordingSink::Flow mapped = compact_run.sink.flows[i];
-      mapped.col = col_map[mapped.col];
-      EXPECT_EQ(dense_run.sink.flows[i], mapped) << "flow " << i;
-    }
-    EXPECT_EQ(dense_run.moved, compact_run.moved);
-    EXPECT_EQ(dense_run.row_delta, compact_run.row_delta);
-    for (std::size_t r = 0; r < 3; ++r)
-      for (std::size_t c = 0; c < 3; ++c)
-        EXPECT_EQ(dense_run.counts[col_map[c] * 3 + r],
-                  compact_run.counts[c * 3 + r]);
-  }
-}
-
-// ---- Property sweep: random matrices, all sizes ------------------------
-
-struct SnakeCase {
-  std::size_t participants;
-  std::size_t classes;
-  std::uint64_t seed;
-};
-
-class SnakeProperty : public ::testing::TestWithParam<SnakeCase> {};
-
-TEST_P(SnakeProperty, S1AndS2HoldAndMassIsConserved) {
-  const auto& param = GetParam();
-  Rng rng(param.seed);
-  Matrix counts(param.participants,
-                std::vector<std::int64_t>(param.classes, 0));
-  for (auto& row : counts)
-    for (auto& cell : row)
-      cell = static_cast<std::int64_t>(rng.below(40));
-  const Matrix before = counts;
-  SnakeOptions opts;
-  opts.start = static_cast<std::size_t>(rng.below(param.participants));
-  const std::size_t dense_ptr = snake_redistribute(counts, opts);
-  for (std::size_t j = 0; j < param.classes; ++j)
-    EXPECT_EQ(column_total(counts, j), column_total(before, j));
-  expect_s1_s2(counts);
-
-  // The compact overload must agree cell-for-cell with the dense one, hand
-  // back the same continuation pointer, and report flows whose total
-  // matches the packets actually received.
-  const CompactRun run = run_compact(before, opts.start);
-  EXPECT_EQ(run.ptr, dense_ptr);
-  const std::size_t rows = param.participants;
-  std::uint64_t received = 0;
-  for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t j = 0; j < param.classes; ++j) {
-      EXPECT_EQ(run.counts[j * rows + r], counts[r][j]);
-      if (run.counts[j * rows + r] > before[r][j])
-        received += static_cast<std::uint64_t>(run.counts[j * rows + r] -
-                                               before[r][j]);
-    }
-  EXPECT_EQ(run.sink.total, received);
-  expect_accounting(run, before, counts);
-}
-
-// Exclusion ([D7]) property sweep: excluded rows keep their class count,
-// the rest balance to ±1, and per-class mass is conserved.
-class SnakeExclusionProperty : public ::testing::TestWithParam<SnakeCase> {};
-
-TEST_P(SnakeExclusionProperty, ExcludedRowsUntouchedAndMassConserved) {
-  const auto& param = GetParam();
-  if (param.participants < 2) GTEST_SKIP();
-  Rng rng(param.seed ^ 0xe8c1);
-  Matrix counts(param.participants,
-                std::vector<std::int64_t>(param.classes, 0));
-  for (auto& row : counts)
-    for (auto& cell : row)
-      cell = static_cast<std::int64_t>(rng.below(25));
-  // Random exclusions: roughly half the classes exclude a random row.
-  std::vector<std::size_t> excluded(param.classes,
-                                    static_cast<std::size_t>(-1));
-  for (std::size_t j = 0; j < param.classes; ++j) {
-    if (rng.bernoulli(0.5))
-      excluded[j] = static_cast<std::size_t>(rng.below(param.participants));
-  }
-  const Matrix before = counts;
-  SnakeOptions opts;
-  opts.start = static_cast<std::size_t>(rng.below(param.participants));
-  opts.excluded_participant_per_class = &excluded;
-  const std::size_t dense_ptr = snake_redistribute(counts, opts);
-
-  // Dense/compact agreement under exclusions as well.
-  const CompactRun run = run_compact(before, opts.start, &excluded);
-  EXPECT_EQ(run.ptr, dense_ptr);
-  for (std::size_t r = 0; r < param.participants; ++r)
-    for (std::size_t j = 0; j < param.classes; ++j)
-      EXPECT_EQ(run.counts[j * param.participants + r], counts[r][j]);
-  expect_accounting(run, before, counts);
-
-  for (std::size_t j = 0; j < param.classes; ++j) {
-    EXPECT_EQ(column_total(counts, j), column_total(before, j));
-    std::int64_t lo = std::numeric_limits<std::int64_t>::max();
-    std::int64_t hi = std::numeric_limits<std::int64_t>::min();
-    for (std::size_t r = 0; r < param.participants; ++r) {
-      if (r == excluded[j]) {
-        EXPECT_EQ(counts[r][j], before[r][j]) << "excluded row moved";
-        continue;
-      }
-      lo = std::min(lo, counts[r][j]);
-      hi = std::max(hi, counts[r][j]);
-    }
-    if (excluded[j] >= param.participants ||
-        param.participants > 1) {
-      EXPECT_LE(hi - lo, 1) << "class " << j;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, SnakeExclusionProperty,
-    ::testing::Values(SnakeCase{2, 8, 21}, SnakeCase{3, 16, 22},
-                      SnakeCase{5, 32, 23}, SnakeCase{8, 8, 24},
-                      SnakeCase{4, 64, 25}),
-    [](const ::testing::TestParamInfo<SnakeCase>& ti) {
-      return "m" + std::to_string(ti.param.participants) + "_c" +
-             std::to_string(ti.param.classes) + "_s" +
-             std::to_string(ti.param.seed);
-    });
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, SnakeProperty,
-    ::testing::Values(
-        SnakeCase{2, 1, 1}, SnakeCase{2, 5, 2}, SnakeCase{3, 3, 3},
-        SnakeCase{4, 10, 4}, SnakeCase{5, 64, 5}, SnakeCase{8, 8, 6},
-        SnakeCase{7, 33, 7}, SnakeCase{2, 64, 8}, SnakeCase{16, 16, 9},
-        SnakeCase{3, 100, 10}, SnakeCase{6, 2, 11}, SnakeCase{9, 40, 12}),
-    [](const ::testing::TestParamInfo<SnakeCase>& ti) {
-      return "m" + std::to_string(ti.param.participants) + "_c" +
-             std::to_string(ti.param.classes) + "_s" +
-             std::to_string(ti.param.seed);
-    });
 
 }  // namespace
 }  // namespace dlb
