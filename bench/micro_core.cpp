@@ -4,9 +4,10 @@
 //
 // Besides the google-benchmark suite, main() times the three hot-path
 // entry points (generate, consume, balance) with a plain chrono harness
-// and writes BENCH_core.json to the working directory — the
-// machine-readable record the perf gate diffs across PRs.  Run with
-// --benchmark_filter=NONE to emit only the JSON.
+// when given --json_out <path>, and writes them there in BENCH_core.json's
+// shape — the machine-readable record the perf gate diffs across PRs.
+// Without --json_out it writes no file.  Run with
+// --benchmark_filter=NONE --json_out <path> to emit only the JSON.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -398,11 +399,11 @@ struct BenchRow {
   CoreTimings (*measure)(std::uint32_t n);
 };
 
-void write_bench_json(const char* path) {
+bool write_bench_json(const char* path) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path);
-    return;
+    return false;
   }
   out << "{\n  \"benchmark\": \"core_hot_paths\",\n  \"unit\": \"ns/op\","
       << "\n  \"workloads\": {\"sparse\": \"own-class packets only, "
@@ -466,15 +467,36 @@ void write_bench_json(const char* path) {
   }
   out << "\n  ]\n}\n";
   std::printf("wrote %s\n", path);
+  return true;
+}
+
+// Removes "--json_out <path>" / "--json_out=<path>" from argv before
+// google-benchmark parses it, and returns the path ("" when absent).
+std::string take_json_out(int& argc, char** argv) {
+  std::string path;
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--json_out" && i + 1 < argc) {
+      path = argv[++i];
+    } else if (arg.rfind("--json_out=", 0) == 0) {
+      path = arg.substr(std::string("--json_out=").size());
+    } else {
+      argv[kept++] = argv[i];
+    }
+  }
+  argc = kept;
+  return path;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::string json_out = take_json_out(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  write_bench_json("BENCH_core.json");
+  if (!json_out.empty() && !write_bench_json(json_out.c_str())) return 1;
   return 0;
 }

@@ -353,15 +353,15 @@ int main(int argc, char** argv) {
     }
     // ---- Alloc-instrumented pass (DESIGN.md §11) ---------------------
     //
-    // Separate from the timed columns: each engine re-runs with metrics
-    // attached and the zero-alloc opt-in (reserve_classes) on, and the
+    // Separate from the timed columns: each engine re-runs on the same
+    // default config with metrics attached, and the
     // alloc.{count,warmup_end_step} publications collapse into one
     // allocs-per-step number — 0.0 when the allocator went quiet within
     // the first half of the horizon (the steady state is
     // allocation-free), count/steps otherwise.  A longer horizon than
     // the timed sweep so "half the horizon" is a real warmup budget.
-    // Skipped above 2^16: the opt-in pre-sizes every ledger, and that
-    // setup cost is the one part of the contract that scales with n.
+    // Skipped above 2^16, the largest n the perf gate sweeps: each pass
+    // is one more O(n) System construction per engine.
     const std::uint32_t alloc_steps = 200;
     double serial_alloc = -1.0;
     double async_alloc = -1.0;
@@ -373,11 +373,7 @@ int main(int argc, char** argv) {
                                        std::uint32_t warmup_units,
                                        auto&& drive) -> double {
         obs::MetricsRegistry registry;
-        BalancerConfig acfg = cfg;
-        // The class universe is the `active` producers' classes; 4x
-        // headroom keeps ledger writes allocation-free (§11).
-        acfg.reserve_classes = std::min(n, 4 * active);
-        System sys(n, acfg, 20260807);
+        System sys(n, cfg, 20260807);
         sys.attach_metrics(&registry);
         drive(sys);
         const obs::MetricsSnapshot snap = registry.snapshot();

@@ -36,15 +36,6 @@ struct BalancerConfig {
   /// the pre-§4 model).
   std::uint32_t borrow_cap = 4;
 
-  /// Capacity floor for every processor's sparse ledger, in active-class
-  /// entries (clamped to n).  0 (default) grows ledgers on demand —
-  /// O(active) memory, but the first deal that lands new classes on a
-  /// cold processor reallocates its count vectors.  Deployments chasing
-  /// the zero-allocation steady state (DESIGN.md §11) pre-size here:
-  /// ~20 B per reserved entry per processor buys allocation-free ledger
-  /// writes up to that many concurrently active classes.
-  std::uint32_t reserve_classes = 0;
-
   /// [D7] Analysis-mode class exclusion: during a balancing operation,
   /// load class c of a *non-initiating* participant c is balanced only
   /// among the other participants (its own share stays put), as required

@@ -92,8 +92,14 @@ void Ledger::copy_entries(const Ledger& other) {
 }
 
 void Ledger::grow_slots(std::uint32_t slots) {
-  // Doubling, but never past the class count (no ledger holds more).
-  const std::uint32_t cap = std::max(slots, std::min(2 * capacity_, classes_));
+  // A small universe spills once, to every class: dense ledgers fill
+  // nearly all of them (§7), and doubling there would reallocate mid-run.
+  // Larger universes double, never past the class count (no ledger holds
+  // more).
+  const std::uint32_t cap = std::max(
+      slots, classes_ <= kWholeSpillClasses
+                 ? classes_
+                 : std::min(2 * capacity_, classes_));
   auto* block = static_cast<std::byte*>(::operator new(cap * kSlotBytes));
   auto* cls = reinterpret_cast<std::uint32_t*>(block);
   auto* marked = cls + cap;
@@ -434,10 +440,6 @@ void Ledger::replace(std::vector<std::int64_t> d_new,
   }
   real_ = real;
   borrowed_ = borrowed;
-}
-
-void Ledger::reserve_active(std::uint32_t k) {
-  reserve_slots(std::min(k, classes_));
 }
 
 std::uint32_t Ledger::first_marked_class() const {

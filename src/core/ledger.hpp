@@ -21,8 +21,10 @@
 // kInlineClasses slots live inside the Ledger object itself, so the
 // common case — a few classes per processor — touches no heap memory
 // and a processor table streams through contiguous storage; above that
-// the block spills to one heap allocation (doubling, never shrinking)
-// reached through the same data pointer.  Structural invariants of the
+// the block spills to one heap allocation reached through the same data
+// pointer — straight to all n classes when that fits one 4 KiB block
+// (dense ledgers fill nearly every class), doubling otherwise; it never
+// shrinks.  Structural invariants of the
 // compact form:
 //   (S1) the active list is strictly ascending and every listed class
 //        satisfies d > 0 || b > 0 — no zero entries are stored;
@@ -168,12 +170,6 @@ class Ledger {
   void replace(std::vector<std::int64_t> d_new,
                std::vector<std::int64_t> b_new);
 
-  /// Capacity floor: pre-sizes the compact storage for `k` active-class
-  /// entries (clamped to classes()), so later writes up to that
-  /// occupancy never reallocate — the zero-allocation steady-state knob
-  /// (BalancerConfig::reserve_classes).  Never shrinks.
-  void reserve_active(std::uint32_t k);
-
   /// Smallest class index with b[j] > 0, or classes() if none.  O(1).
   std::uint32_t first_marked_class() const;
 
@@ -197,6 +193,10 @@ class Ledger {
       2 * sizeof(std::uint32_t) + 2 * sizeof(std::int64_t);
   // Linear scans beat binary search on short, cache-resident lists.
   static constexpr std::uint32_t kLinearScanMax = 16;
+  // Class counts whose whole universe fits one 4 KiB block: such a
+  // ledger spills once, to classes() slots, instead of doubling.
+  static constexpr auto kWholeSpillClasses =
+      static_cast<std::uint32_t>(4096 / kSlotBytes);
 
   std::uint32_t* cls_data() const {
     return reinterpret_cast<std::uint32_t*>(data_);
@@ -236,8 +236,9 @@ class Ledger {
     return pos;
   }
 
-  // Grows the block to at least `slots` slots (doubling), keeping the
-  // contents.  Never shrinks.  The capacity test is inline: the hot
+  // Grows the block to at least `slots` slots (all classes() when
+  // they fit kWholeSpillClasses, else doubling), keeping the contents.
+  // Never shrinks.  The capacity test is inline: the hot
   // write paths call this on every write and almost never grow.
   void reserve_slots(std::uint32_t slots) {
     if (slots > capacity_) grow_slots(slots);

@@ -27,9 +27,6 @@ System::System(std::uint32_t processors, BalancerConfig config,
   procs_.reserve(processors);
   for (std::uint32_t p = 0; p < processors; ++p)
     procs_.emplace_back(processors);
-  if (config_.reserve_classes > 0)
-    for (ProcessorState& st : procs_)
-      st.ledger.reserve_active(config_.reserve_classes);
 }
 
 void System::attach_metrics(obs::MetricsRegistry* registry) {
@@ -102,11 +99,10 @@ void System::run(const Workload& workload) {
   // reference loop draws all of a step's workload randomness before any
   // balancing randomness; interleaving would reorder the RNG stream.
   std::vector<std::pair<std::uint32_t, WorkEvent>> events;
-  // Zero-alloc opt-in: pre-size to the bound (one slot per active
-  // processor) so the occupancy high-water mark never grows the vector
-  // mid-run.  Gated — the O(n) reserve touches fresh pages, a real cost
-  // for short runs on large systems.
-  if (config_.reserve_classes > 0) events.reserve(processors());
+  // Pre-sized to the bound (one slot per active processor) so the
+  // occupancy high-water mark never grows the vector mid-run.  reserve
+  // touches no pages: only the slots a step writes become resident.
+  events.reserve(processors());
   warm_thread_scratch();
   // Per-step allocation accounting (DESIGN.md §11): sampled only with
   // metrics attached, so the detached hot loop pays nothing.
@@ -472,7 +468,6 @@ BalanceScratch& balance_scratch() {
 }  // namespace
 
 void System::warm_thread_scratch() {
-  if (config_.reserve_classes == 0) return;
   const std::size_t m = static_cast<std::size_t>(config_.delta) + 1;
   balance_scratch().reserve_bounds(m, processors());
   // Depth 8 covers every balance → cancel → re-balance chain seen in
@@ -496,8 +491,6 @@ void System::balance_deal(std::uint32_t initiator,
                                 "balance", tid, initiator);
   const std::uint32_t n = processors();
   BalanceScratch& scratch = balance_scratch();
-  if (config_.reserve_classes > 0)
-    scratch.reserve_bounds(partners.size() + 1, n);
   std::vector<ProcId>& participants = scratch.participants;
   participants.clear();
   scratch.ledgers.clear();

@@ -257,12 +257,13 @@ class System {
   // Trigger check + balancing operation when it fires.
   void maybe_balance(std::uint32_t p, Rng& rng);
 
-  // Zero-alloc opt-in (reserve_classes > 0, DESIGN.md §11): pre-sizes
-  // every lazily-grown thread_local on the balancing path — balance
-  // scratch and the partner-draw pool — to its analytic bound.  Each
-  // driver calls this once per worker thread at startup, so a thread
-  // whose first balancing operation lands late in the run does not pay
-  // its one-time warmup there.  No-op without the opt-in.
+  // Zero-allocation steady state (DESIGN.md §11): reserves every
+  // lazily-grown thread_local on the balancing path — balance scratch to
+  // (delta+1, n) and the partner-draw pool — to its analytic bound.
+  // Each driver calls this once per worker thread at startup, so a
+  // thread whose first balancing operation lands late in the run does
+  // not pay its one-time warmup there.  reserve itself touches no
+  // pages, so the O(n) bound costs address space, not page faults.
   void warm_thread_scratch();
 
   // Balancing operation over initiator + delta random partners.

@@ -97,22 +97,20 @@ class AsyncEngine {
       shard_.push_back(std::make_unique<Shard>(
           s, shards, sys_.rng_.split(),
           ActiveSchedule::strided(workload, s, shards), sys_.topology_));
-      // Zero-alloc opt-in (DESIGN.md §11): warm the per-shard scratch to
-      // its bounds — every sampled event is at most one queued op plus
-      // follow-ups, and an op touches at most delta+1 processors.  A run
-      // must not depend on the workload hitting each high-water mark
-      // early (the allocation would land mid-run, at a schedule-
-      // dependent step).  Gated on the opt-in: the span-scaled reserves
-      // touch O(n) fresh pages, a real cost inside short timed runs.
-      if (sys_.config_.reserve_classes > 0) {
-        Shard& sh = *shard_.back();
-        const std::uint32_t span = (sys_.processors() + shards - 1) / shards;
-        sh.events.reserve(span);
-        sh.fifo.reserve(4 * static_cast<std::size_t>(span) + 64);
-        sh.lock_ids.reserve(sys_.config_.delta + 1);
-        sh.partners.reserve(sys_.config_.delta);
-        sh.cancel_due.reserve(sys_.config_.delta + 1);
-      }
+      // Zero-allocation steady state (DESIGN.md §11): reserve the
+      // per-shard scratch to its bounds — one sampled event per owned
+      // processor, and an op touches at most delta+1 processors — so a
+      // run does not depend on the workload hitting each high-water mark
+      // early (the allocation would land mid-run, at a schedule-dependent
+      // step).  reserve touches no pages.  The fifo is not pre-sized:
+      // RingQueue::reserve value-initialises every slot, which costs
+      // O(n) page faults per run.
+      Shard& sh = *shard_.back();
+      const std::uint32_t span = (sys_.processors() + shards - 1) / shards;
+      sh.events.reserve(span);
+      sh.lock_ids.reserve(sys_.config_.delta + 1);
+      sh.partners.reserve(sys_.config_.delta);
+      sh.cancel_due.reserve(sys_.config_.delta + 1);
     }
     rings_.resize(static_cast<std::size_t>(shards) * shards);
     for (std::uint32_t from = 0; from < shards; ++from)

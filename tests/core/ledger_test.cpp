@@ -680,13 +680,26 @@ TEST(LedgerProperty, InlineSpillBoundaryTracksDenseReference) {
 }
 
 TEST(Ledger, MemoryBytesCountsObjectAndSpilledBlock) {
+  // One slot: class id + marked id (u32 each) + d + b (i64 each).
+  constexpr std::size_t kSlotBytes = 24;
+  // A class universe that fits one 4 KiB block spills once, to all of it.
   Ledger ledger(64);
   EXPECT_EQ(ledger.memory_bytes(), sizeof(Ledger));
   for (std::uint32_t j = 0; j < Ledger::kInlineClasses; ++j)
     ledger.add_real(j, 1);
   EXPECT_EQ(ledger.memory_bytes(), sizeof(Ledger));  // still inline
   ledger.add_real(Ledger::kInlineClasses, 1);
-  EXPECT_GT(ledger.memory_bytes(), sizeof(Ledger));  // spilled
+  EXPECT_EQ(ledger.memory_bytes(), sizeof(Ledger) + 64 * kSlotBytes);
+  for (std::uint32_t j = Ledger::kInlineClasses + 1; j < 64; ++j)
+    ledger.add_real(j, 1);
+  EXPECT_EQ(ledger.memory_bytes(), sizeof(Ledger) + 64 * kSlotBytes);
+
+  // A larger universe doubles from the inline slots.
+  Ledger sparse(16384);
+  for (std::uint32_t j = 0; j <= Ledger::kInlineClasses; ++j)
+    sparse.add_real(j, 1);
+  EXPECT_EQ(sparse.memory_bytes(),
+            sizeof(Ledger) + 2 * Ledger::kInlineClasses * kSlotBytes);
 }
 
 // A checkpoint of a system whose ledgers spilled past the inline

@@ -3,7 +3,7 @@
 #
 # Rebuilds the release preset and, in three interleaved rounds, re-runs
 # bench/micro_core (which measures generate/consume/balance ns-per-op
-# and writes BENCH_core.json into the current directory) plus a short
+# and writes them to its --json_out path) plus a short
 # bench/scalability sparse sweep (whose
 # "sparse_step" step_us rows time the obs-detached batched step loop —
 # this is the tracing-off overhead gate: the observability layer must
@@ -12,9 +12,10 @@
 # drain path fail here too), and compares every metric against the
 # committed baseline BENCH_core.json at the repository root.  The sweep
 # also re-runs the serial engine and both run_async modes (deterministic
-# and relaxed) with the counting allocation hook attached and gates every
-# allocs_per_step == 0: the zero-allocation steady state (DESIGN.md §11)
-# is a hard invariant, not a tolerance-checked timing.
+# and relaxed) on the default config with the counting allocation hook
+# attached and gates every allocs_per_step == 0: the zero-allocation
+# steady state (DESIGN.md §11) is a hard invariant, not a
+# tolerance-checked timing.
 #
 # The comparison is common-mode normalized: on a shared/virtualized box
 # the whole benchmark drifts ±20-30% run to run, and all metrics drift
@@ -55,8 +56,8 @@ trap 'rm -rf "$workdir"' EXIT
 # common-mode factor below.
 for round in 1 2 3; do
   mkdir -p "$workdir/$round"
-  (cd "$workdir/$round" && "$repo/build/bench/micro_core" \
-      --benchmark_filter=NONE)
+  "$repo/build/bench/micro_core" --benchmark_filter=NONE \
+      --json_out "$workdir/$round/BENCH_core.json"
   # Sparse sweep only (max_n 16 skips the dense quality table): the
   # step_us it reports is the batched step loop with observability
   # detached, so a regression here catches hot-path cost sneaking in
